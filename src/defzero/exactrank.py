@@ -1,22 +1,36 @@
-"""Exact rank of small integer matrices.
+"""Exact rank of sparse integer matrices.
 
-Deficiency is an integer identity, so the rank of the stoichiometric matrix
-has to be the rank over the rationals, computed exactly.  Fraction-free
-(Bareiss) elimination does that with integer arithmetic only: after each
-pivot step every entry is a minor of the original matrix, and dividing by
-the previous pivot is an exact integer division.
-
-A Gaussian elimination over GF(131071) runs first as a fast path.  Rank over
-a prime field can only undercount the rational rank, so when it reaches the
-dimension bound min(rows, cols) the answer is certified; anything short of
-the bound falls back to the fraction-free route.
+Deficiency is an integer identity, so ranks are over the rationals, exact.
+``rank_of_columns`` first peels (structured Gaussian elimination, LaMacchia
+and Odlyzko 1990): a column that owns a row no other live column touches is
+independent of the rest, so it is removed and counted, round after round.
+The core left is eliminated over GF(2^31 - 1).  Rank over a prime field can
+only undercount the rational rank, so reaching min(rows, cols) certifies it.
+A short count falls back to fraction-free (Bareiss) elimination of the core:
+after each pivot step every entry is a minor of the original matrix, so
+dividing by the previous pivot is an exact integer division.
 """
 
 from __future__ import annotations
 
-PRIME = 131071  # 2**17 - 1
+from operator import itemgetter
+
+import numpy as np
+
+PRIME = 2_147_483_647  # 2**31 - 1: a product of two residues fits in int64
+
+# rank_mod_prime uses numpy row operations once the shorter side of the
+# matrix reaches this size, Python lists below it.  A numpy step has tens of
+# microseconds of call overhead (52 us for a whole 3x3, against 10 us by
+# lists), while a list step costs in proportion to the entries it touches.
+# On random 4-sparse integer matrices (2 cores, Python 3.11, numpy 2.4) they
+# break even at 50 to 60 on the shorter side; at 100x100 numpy takes 4.6 ms
+# against 13.5 ms, at 40x40 the lists are 1.5x ahead.
+_NUMPY_MIN_SIDE = 64
 
 Matrix = list[list[int]]
+
+_value = itemgetter(1)
 
 
 def bareiss_rank(mat: Matrix) -> int:
@@ -58,8 +72,7 @@ def bareiss_rank(mat: Matrix) -> int:
     return rank
 
 
-def rank_mod_prime(mat: Matrix, prime: int = PRIME) -> int:
-    """Rank over GF(prime); a lower bound for the rank over the rationals."""
+def _rank_mod_prime_lists(mat: Matrix, prime: int) -> int:
     rows = [[x % prime for x in r] for r in mat]
     n_rows = len(rows)
     n_cols = len(rows[0]) if n_rows else 0
@@ -89,29 +102,89 @@ def rank_mod_prime(mat: Matrix, prime: int = PRIME) -> int:
     return rank
 
 
-def _canonical_column(col: tuple[int, ...]) -> tuple[int, ...]:
-    # A column and its negation span the same line; keep one representative.
-    neg = tuple(-x for x in col)
-    return col if col >= neg else neg
+def _rank_mod_prime_numpy(mat: Matrix, prime: int) -> int:
+    a = np.array(mat, dtype=np.int64) % prime
+    rank = 0
+    for col in range(a.shape[1]):
+        if rank == a.shape[0]:
+            break
+        # Swapping the first hit up leaves the other hits as the rows to clear.
+        hits = rank + np.flatnonzero(a[rank:, col])
+        if hits.size:
+            a[[rank, hits[0]]] = a[[hits[0], rank]]
+            below = hits[1:]
+            factor = a[below, col] * pow(int(a[rank, col]), -1, prime) % prime
+            a[below, col:] = (a[below, col:] - factor[:, None] * a[rank, col:] % prime) % prime
+            rank += 1
+    return rank
+
+
+def rank_mod_prime(mat: Matrix, prime: int = PRIME) -> int:
+    """Rank over GF(prime); a lower bound for the rank over the rationals.
+
+    The input is a list of rows and is not modified.
+    """
+    # numpy's int64 holds a product of two residues only for primes < 2**31.5
+    if mat and min(len(mat), len(mat[0])) >= _NUMPY_MIN_SIDE and prime <= PRIME:
+        return _rank_mod_prime_numpy(mat, prime)
+    return _rank_mod_prime_lists(mat, prime)
+
+
+def _peel(vectors: list) -> tuple[int, list]:
+    """Remove vectors that own a row no other live vector touches, round
+    after round; returns the number removed and the core that remains.
+    Rows are non-negative integers, so a vector's support is a bitmask."""
+    masks = []
+    for vec in vectors:
+        mask = 0
+        for r, _ in vec:
+            mask |= 1 << r
+        masks.append(mask)
+    peeled = 0
+    while True:
+        seen = shared = 0
+        for mask in masks:
+            shared |= seen & mask
+            seen |= mask
+        owned = seen & ~shared
+        if not owned:
+            return peeled, vectors
+        keep = [j for j, mask in enumerate(masks) if not mask & owned]
+        peeled += len(masks) - len(keep)
+        vectors = [vectors[j] for j in keep]
+        masks = [masks[j] for j in keep]
 
 
 def rank_of_columns(columns, n_rows: int) -> int:
     """Exact rank of the matrix whose columns are the given integer vectors.
 
+    A column is either a dense sequence of n_rows integers or a sparse
+    {row: value} map with non-negative integer rows; absent rows are zero.
     Duplicate columns, negated duplicates, and zero columns are dropped
     before elimination; none of them affect the rank.
     """
-    kept = {
-        _canonical_column(tuple(col))
-        for col in columns
-        if any(col)
-    }
-    if not kept or n_rows == 0:
-        return 0
-    ordered = sorted(kept)
-    mat = [[col[r] for col in ordered] for r in range(n_rows)]
-    bound = min(n_rows, len(ordered))
+    kept = set()
+    for col in columns:
+        # Non-zero (row, value) pairs in row order, signed so that the first
+        # value is positive: a column and its negation span the same line.
+        if isinstance(col, dict):
+            vec = tuple(sorted(filter(_value, col.items())))
+        else:
+            vec = tuple(filter(_value, enumerate(col)))
+        if vec:
+            kept.add(vec if vec[0][1] > 0 else tuple([(r, -x) for r, x in vec]))
+    peeled, core = _peel(list(kept))
+    if not core:
+        return peeled
+    pos: dict[int, int] = {}  # row label -> matrix row, in order of first use
+    for vec in core:
+        for r, _ in vec:
+            pos.setdefault(r, len(pos))
+    mat = [[0] * len(core) for _ in pos]
+    for j, vec in enumerate(core):
+        for r, x in vec:
+            mat[pos[r]][j] = x
     fast = rank_mod_prime(mat)
-    if fast == bound:
-        return fast
-    return bareiss_rank(mat)
+    if fast == min(len(pos), len(core)):
+        return peeled + fast
+    return peeled + bareiss_rank(mat)

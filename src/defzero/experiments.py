@@ -5,9 +5,12 @@ are identical no matter how trials are scheduled.  Setting DEFZERO_THREADS
 to an integer above 1 runs trials on a thread pool; the output is
 bit-identical to the sequential run apart from wall_time_ms.
 
-The deficiency-zero check short-circuits whenever the network has more than
-2n complexes, which such a network never allows; that skips the rank
-computation in precisely the regime where networks get large.
+The deficiency-zero check short-circuits whenever the network's spanning
+forest has more than n edges: deficiency zero needs the forest vectors to be
+independent, and more than n vectors in Q^n never are.  The forest search
+stops at n + 1 edges, so a dense draw costs neither a rank computation nor a
+search of its whole graph.  The rule covers the old bound of 2n complexes:
+every complex has degree at least 1, so #components <= #complexes / 2.
 """
 
 from __future__ import annotations
@@ -156,8 +159,8 @@ def _map_trials(master_seed: int, trials: int, trial: Callable[[int], object]) -
 
 
 def deficiency_is_zero(net: ReactionNetwork) -> bool:
-    """Deficiency-zero check with the 2n complex-count short-circuit."""
-    if len(net.vertices) > 2 * net.n:
+    """Deficiency-zero check with the forest-size short-circuit."""
+    if net.forest_size(limit=net.n) > net.n:
         return False
     return net.deficiency().deficiency == 0
 
@@ -284,9 +287,7 @@ def estimate_isolated_tail(spec: IsolatedTailSpec) -> EstimateRow:
 
 
 def _all_reactions_touch_four_species(net: ReactionNetwork) -> bool:
-    return all(
-        sum(1 for v in r.support_delta().values() if v) == 4 for r in net.reactions
-    )
+    return all(len(r.support_delta()) == 4 for r in net.reactions)
 
 
 def estimate_four_species_given_paired(
@@ -296,6 +297,8 @@ def estimate_four_species_given_paired(
     has exactly four non-zero entries."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     if 2 * k > universe_size(n):
         raise ValueError(f"cannot place {k} disjoint pairs for n={n}")
     started = time.perf_counter()
@@ -311,6 +314,8 @@ def estimate_matrix_independence(n: int, k: int, trials: int, seed: int) -> Esti
     """Fraction of sampled four-sparse sign matrices with independent columns."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     started = time.perf_counter()
 
     def trial(s: int) -> bool:

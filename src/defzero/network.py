@@ -9,6 +9,13 @@ is
 with components taken in the undirected support graph and the rank computed
 exactly over the integers.  The per-component version uses each component's
 own reactions and #components = 1.
+
+Everything rests on one spanning forest of the support graph, found once per
+network by union-find.  Every reaction vector of a component is a sum of
+the vectors of its spanning-tree edges, so each component's rank is the
+rank of its forest vectors and the total rank is the rank of all forest
+vectors.  The forest has #complexes - #components edges, so the deficiency
+is zero exactly when the forest vectors are linearly independent.
 """
 
 from __future__ import annotations
@@ -40,11 +47,11 @@ class Reaction:
         return vec
 
     def support_delta(self) -> dict[int, int]:
-        """Sparse net change: species id -> count, zero entries included."""
+        """Sparse net change: species id -> count, non-zero entries only."""
         delta = self.product.counts()
         for s in self.source.species:
             delta[s] = delta.get(s, 0) - 1
-        return delta
+        return {s: x for s, x in delta.items() if x}
 
     def reverse(self) -> "Reaction":
         return Reaction(self.product, self.source)
@@ -89,33 +96,37 @@ class DeficiencyReport:
         }
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
+def _union_find(
+    reactions: Iterable[Reaction], limit: int | None = None
+) -> tuple[dict[Complex, int], list[Reaction]]:
+    """Each vertex's component root, and the reactions that join two
+    components when they are met: a spanning forest.  With a limit the
+    search stops once the forest has more than limit edges, and both results
+    are partial."""
+    index: dict[Complex, int] = {}
+    parent: list[int] = []
 
-    def find(self, i: int) -> int:
+    def find(i: int) -> int:
+        if i == len(parent):  # a vertex met for the first time
+            parent.append(i)
+            return i
         root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:  # path compression
-            self.parent[i], i = root, self.parent[i]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[i] != root:  # path compression
+            parent[i], i = root, parent[i]
         return root
 
-    def union(self, i: int, j: int) -> None:
-        i, j = self.find(i), self.find(j)
-        if i == j:
-            return
-        if self.size[i] < self.size[j]:
-            i, j = j, i
-        self.parent[j] = i
-        self.size[i] += self.size[j]
-
-
-def _canonical_vector(vec: list[int]) -> tuple[int, ...]:
-    t = tuple(vec)
-    neg = tuple(-x for x in t)
-    return t if t >= neg else neg
+    forest = []
+    for r in reactions:
+        u = find(index.setdefault(r.source, len(index)))
+        v = find(index.setdefault(r.product, len(index)))
+        if u != v:
+            parent[u] = v
+            forest.append(r)
+            if limit is not None and len(forest) > limit:
+                break
+    return {c: find(i) for c, i in index.items()}, forest
 
 
 @dataclass(frozen=True)
@@ -185,25 +196,32 @@ class ReactionNetwork:
     def sorted_reactions(self) -> list[Reaction]:
         return sorted(self.reactions, key=Reaction.sort_key)
 
+    def _spanning_forest(
+        self, limit: int | None = None
+    ) -> tuple[dict[Complex, int], list[Reaction]]:
+        """The union-find result, kept once a search has run to the end.
+        With a limit the search may stop early (see _union_find)."""
+        found = self.__dict__.get("_forest")
+        if found is None:
+            found = _union_find(self.reactions, limit)
+            if limit is None or len(found[1]) <= limit:
+                object.__setattr__(self, "_forest", found)
+        return found
+
+    def forest_size(self, limit: int | None = None) -> int:
+        """Edges in a spanning forest of the undirected support graph, that
+        is #complexes - #components.  With a limit the count stops at
+        limit + 1, so a dense network is not searched to the end."""
+        return len(self._spanning_forest(limit)[1])
+
     def connected_components(self) -> list[frozenset[Complex]]:
         """Components of the undirected support graph, ordered by their
         smallest vertex in the canonical complex order."""
-        verts = sorted(self.vertices, key=Complex.sort_key)
-        index = {c: i for i, c in enumerate(verts)}
-        uf = _UnionFind(len(verts))
-        for r in self.reactions:
-            uf.union(index[r.source], index[r.product])
+        roots, _ = self._spanning_forest()
         groups: dict[int, list[Complex]] = {}
-        for c, i in index.items():
-            groups.setdefault(uf.find(i), []).append(c)
-        comps = [frozenset(g) for g in groups.values()]
-        comps.sort(key=lambda comp: min(c.sort_key() for c in comp))
-        return comps
-
-    def _reaction_columns(self) -> set[tuple[int, ...]]:
-        # One canonical column per undirected reaction support; sign and
-        # duplicates are irrelevant for rank.
-        return {_canonical_vector(r.vector(self.n)) for r in self.reactions}
+        for c in sorted(roots, key=Complex.sort_key):
+            groups.setdefault(roots[c], []).append(c)
+        return [frozenset(g) for g in groups.values()]
 
     def stoich_matrix(self) -> StoichMatrix:
         cols = tuple(tuple(r.vector(self.n)) for r in self.sorted_reactions())
@@ -211,20 +229,20 @@ class ReactionNetwork:
 
     def stoich_rank(self) -> int:
         """Dimension of the span of all reaction vectors (exact)."""
-        return rank_of_columns(self._reaction_columns(), self.n)
+        forest = self._spanning_forest()[1]
+        return rank_of_columns([r.support_delta() for r in forest], self.n)
 
     def deficiency(self) -> DeficiencyReport:
         comps = self.connected_components()
-        comp_of: dict[Complex, int] = {}
-        for j, comp in enumerate(comps):
-            for c in comp:
-                comp_of[c] = j
-        comp_columns: list[set[tuple[int, ...]]] = [set() for _ in comps]
-        for r in self.reactions:
-            comp_columns[comp_of[r.source]].add(_canonical_vector(r.vector(self.n)))
+        roots, forest = self._spanning_forest()
+        # every vertex of a component carries the component's root
+        index = {roots[next(iter(comp))]: j for j, comp in enumerate(comps)}
+        comp_vectors: list[list[dict[int, int]]] = [[] for _ in comps]
+        for r in forest:
+            comp_vectors[index[roots[r.source]]].append(r.support_delta())
         reports = []
-        for comp, cols in zip(comps, comp_columns):
-            s_j = rank_of_columns(cols, self.n)
+        for comp, vectors in zip(comps, comp_vectors):
+            s_j = rank_of_columns(vectors, self.n)
             reports.append(
                 ComponentReport(
                     complex_count=len(comp),
@@ -232,9 +250,8 @@ class ReactionNetwork:
                     deficiency=len(comp) - 1 - s_j,
                 )
             )
-        all_columns = set().union(*comp_columns) if comp_columns else set()
-        rank = rank_of_columns(all_columns, self.n)
-        num_complexes = len(self.vertices)
+        rank = rank_of_columns([v for vs in comp_vectors for v in vs], self.n)
+        num_complexes = len(roots)
         num_components = len(comps)
         return DeficiencyReport(
             num_complexes=num_complexes,
@@ -252,24 +269,13 @@ class ReactionNetwork:
         return all(len(c) == 2 for c in comps), len(comps)
 
     def paired_def_zero(self) -> bool:
-        """Deficiency-zero test for paired networks: pick one reaction
-        vector per component and check linear independence.  Agrees with
-        deficiency() == 0 whenever the network is paired."""
-        paired, k = self.is_paired()
-        if not paired:
+        """Deficiency-zero test for paired networks: their forest has one
+        reaction per component, so this checks that those reaction vectors
+        are linearly independent.  Agrees with deficiency() == 0 whenever
+        the network is paired."""
+        if not self.is_paired()[0]:
             raise ValueError("paired_def_zero requires a paired network")
-        if k == 0:
-            return True
-        comp_of: dict[Complex, int] = {}
-        for j, comp in enumerate(self.connected_components()):
-            for c in comp:
-                comp_of[c] = j
-        chosen: dict[int, tuple[int, ...]] = {}
-        for r in self.sorted_reactions():
-            j = comp_of[r.source]
-            if j not in chosen:
-                chosen[j] = tuple(r.vector(self.n))
-        return rank_of_columns(chosen.values(), self.n) == k
+        return self.deficiency().deficiency == 0
 
     def add_reaction(self, reaction: Reaction) -> "ReactionNetwork":
         """A new network with one more reaction; deficiency never decreases."""

@@ -35,7 +35,7 @@ class ErTrialConfig:
         if self.n < 1:
             raise ValueError(f"species count must be >= 1, got {self.n}")
         if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"edge probability must be in [0, 1], got {self.p}")
+            raise ValueError(f"edge probability p must be in [0, 1], got {self.p}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 

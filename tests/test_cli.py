@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from defzero.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -102,6 +104,18 @@ def test_sample_rejects_bad_p(capsys):
     code, _, err = run_cli(capsys, "sample", "--n", "2", "--p", "1.5", "--seed", "1")
     assert code == 1
     assert "p must be in [0, 1]" in err
+
+
+@pytest.mark.parametrize("flags, word", [
+    (("--n", "0"), "species count"),
+    (("--n", "3", "--seed", "-1"), "seed"),
+])
+def test_sample_rejects_bad_config_without_traceback(capsys, flags, word):
+    code, out, err = run_cli(capsys, "sample", "--p", "0.5", *flags)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("defzero: ") and word in err
+    assert len(err.splitlines()) == 1
 
 
 def test_sweep_csv_schema_and_golden_rows(capsys):
@@ -253,6 +267,33 @@ def test_experiment_domain_error_exits_1(capsys):
     )
     assert code == 1
     assert "disjoint pairs" in err
+
+
+def test_experiments_reject_negative_k(capsys):
+    for name in ("four-species", "matrix-indep"):
+        code, out, err = run_cli(
+            capsys, "experiment", name, "--n", "10", "--k", "-1", "--trials", "5",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "defzero: k must be >= 0, got -1\n"
+
+
+def test_one_parser_serves_repeated_calls(capsys):
+    # main() reuses one argparse tree; a failed parse must not leak into
+    # the next call.
+    argv = ("sweep", "--n-grid", "5,10", "--beta", "3", "--c", "1", "--trials", "200",
+            "--seed", "123")
+    code, out, err = run_cli(capsys, *argv, "--bogus")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: defzero") and "unrecognized arguments: --bogus" in err
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert strip_wall_time(out)[2:] == [
+        "5,0.008,200,190,0.95,0.9104209437021562,0.9726176509713551",
+        "10,0.001,200,200,1.0,0.9811539940816791,1.0",
+    ]
 
 
 def test_usage_error_on_missing_required(capsys):

@@ -3,6 +3,7 @@ from itertools import product
 import numpy as np
 from hypothesis import given, strategies as st
 
+from defzero import exactrank
 from defzero.exactrank import bareiss_rank, rank_mod_prime, rank_of_columns
 from support import minor_rank
 
@@ -35,6 +36,9 @@ def test_rank_of_columns_dedupes_but_counts_right():
     # duplicate and negated columns never change the rank
     cols = [(1, 0), (1, 0), (-1, 0), (0, 2)]
     assert rank_of_columns(cols, 2) == 2
+    # ... in sparse form too, and mixed with the dense form
+    assert rank_of_columns([{0: 1}, {0: -1, 1: 0}, {1: 2}], 2) == 2
+    assert rank_of_columns([(1, 0), {0: -1}, {}, {1: 2}], 2) == 2
 
 
 def test_fast_path_agrees_with_fallback_on_deficient_matrices():
@@ -47,6 +51,39 @@ def test_fast_path_agrees_with_fallback_on_deficient_matrices():
         cols = [tuple(base), tuple(scaled)] + [tuple(f) for f in filler]
         mat = [[col[r] for col in cols] for r in range(rows)]
         assert rank_of_columns(cols, rows) == minor_rank(mat)
+        sparse = [{r: x for r, x in enumerate(col) if x} for col in cols]
+        assert rank_of_columns(sparse, rows) == minor_rank(mat)
+
+
+def _four_sparse(rng, rows, cols):
+    mat = [[0] * cols for _ in range(rows)]
+    for j in range(cols):
+        for r in rng.choice(rows, size=4, replace=False):
+            mat[int(r)][j] = int(rng.choice([-2, -1, 1, 2]))
+    return mat
+
+
+def test_numpy_elimination_agrees_with_list_and_exact_kernels():
+    # Shapes on both sides of the numpy crossover, full rank and deficient:
+    # the appended columns combine two earlier ones, so add nothing to the rank.
+    rng = np.random.default_rng(31)
+    side = exactrank._NUMPY_MIN_SIDE
+    short = full = 0
+    for rows, cols, extra in ((side, side, 0), (side + 16, side, 5), (side, side + 20, 3),
+                              (2 * side, side + 1, 8), (side - 1, side - 1, 2)):
+        base = _four_sparse(rng, rows, cols - extra)
+        for _ in range(extra):
+            a, b = (int(i) for i in rng.choice(cols - extra, size=2, replace=False))
+            for row in base:
+                row.append(row[a] - 2 * row[b])
+        expected = bareiss_rank(base)
+        assert rank_mod_prime(base) == expected
+        assert exactrank._rank_mod_prime_lists(base, exactrank.PRIME) == expected
+        columns = [{r: row[j] for r, row in enumerate(base) if row[j]} for j in range(cols)]
+        assert rank_of_columns(columns, rows) == expected
+        short += expected < min(rows, cols)
+        full += expected == min(rows, cols)
+    assert short and full
 
 
 @given(

@@ -93,6 +93,21 @@ def test_deficiency_is_zero_short_circuit_consistency():
         assert deficiency_is_zero(net) == (net.deficiency().deficiency == 0)
 
 
+def test_forest_bound_decides_without_rank(monkeypatch):
+    # 0 - S1 - S2 - 2S1 is a path with 3 forest edges over n = 2 species:
+    # 4 complexes, so the old 2n rule does not apply, but 3 vectors in Q^2
+    # are always dependent.
+    from defzero import network
+
+    def no_rank(*args):
+        raise AssertionError("the forest bound should have decided")
+
+    net = network.ReactionNetwork.from_edge_list(2, [(0, 1), (1, 2), (2, 3)])
+    monkeypatch.setattr(network, "rank_of_columns", no_rank)
+    assert deficiency_is_zero(net) is False
+    assert len(net.vertices) == 4 and net.forest_size() == 3
+
+
 def test_sweep_rows_ordered_and_seed_stable():
     spec = SweepSpec(n_grid=(10, 5), c=1.0, beta=3.0, trials=100, master_seed=3)
     rows = sweep_threshold(spec)
@@ -142,6 +157,13 @@ def test_isolated_tail_small_scale_trend():
 def test_four_species_k0_vacuous():
     row = estimate_four_species_given_paired(5, 0, 30, 8)
     assert row.estimate == 1.0
+
+
+def test_estimators_reject_negative_k():
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        estimate_four_species_given_paired(5, -1, 30, 8)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        estimate_matrix_independence(10, -1, 25, 3)
 
 
 def test_four_species_matches_exhaustive_enumeration():

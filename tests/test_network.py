@@ -1,6 +1,18 @@
+import numpy as np
 import pytest
 
-from defzero import Complex, Reaction, ReactionNetwork, complex_to_index
+from defzero import (
+    Complex,
+    ErTrialConfig,
+    Reaction,
+    ReactionNetwork,
+    complex_to_index,
+    parse_network,
+    sample_er_network,
+    to_reaction_network,
+)
+from defzero.exactrank import bareiss_rank
+from defzero.rng import derive_seed
 from support import (
     enzyme_network,
     deficiency_one_network,
@@ -190,3 +202,70 @@ def test_report_invariants_on_goldens():
             assert 2 * rep.num_components <= rep.num_complexes
         for comp in rep.components:
             assert comp.deficiency == comp.complex_count - 1 - comp.rank >= 0
+
+
+def _dense_reference(net):
+    """(complexes, rank) of the whole network and of each component, from
+    every dense reaction vector and components found by graph search."""
+    adjacent = {}
+    for r in net.reactions:
+        adjacent.setdefault(r.source, set()).add(r.product)
+        adjacent.setdefault(r.product, set()).add(r.source)
+    comps, seen = [], set()
+    for start in sorted(adjacent, key=Complex.sort_key):
+        if start in seen:
+            continue
+        comp, todo = {start}, [start]
+        while todo:
+            for nxt in adjacent[todo.pop()] - comp:
+                comp.add(nxt)
+                todo.append(nxt)
+        seen |= comp
+        comps.append(comp)
+
+    def rank(reactions):
+        cols = [r.vector(net.n) for r in reactions]
+        return bareiss_rank([list(row) for row in zip(*cols)]) if cols else 0
+
+    per_comp = [
+        (len(comp), rank([r for r in net.reactions if r.source in comp])) for comp in comps
+    ]
+    return (len(adjacent), len(comps), rank(net.reactions)), per_comp
+
+
+def _random_crn(rng, n):
+    """A .crn text over n species with complexes of up to three molecules,
+    some reactions reversible and some not."""
+    def complex_text():
+        parts = [int(s) for s in rng.integers(1, n + 1, size=int(rng.integers(0, 4)))]
+        return " + ".join(f"S{s}" for s in sorted(parts)) or "0"
+
+    lines = [f"S{s} -> 0" for s in range(1, n + 1)] if rng.random() < 0.2 else []
+    for _ in range(int(rng.integers(1, 2 * n + 3))):
+        left, right = complex_text(), complex_text()
+        if sorted(left.split(" + ")) != sorted(right.split(" + ")):
+            lines.append(f"{left} {'<->' if rng.random() < 0.5 else '->'} {right}")
+    return "\n".join(lines) or "S1 -> 0"
+
+
+def test_deficiency_matches_dense_reference():
+    rng = np.random.default_rng(5150)
+    nets, ternary = [], 0
+    for i in range(300):
+        n = int(rng.integers(2, 13))
+        p = float(rng.uniform(0.5, 3.0)) * n ** -3.0
+        nets.append(sample_er_network(ErTrialConfig(n, p, derive_seed(5150, i))))
+        doc = parse_network(_random_crn(rng, int(rng.integers(1, 7))))
+        ternary += not doc.is_binary
+        nets.append(to_reaction_network(doc))
+    assert ternary > 100
+    deficient = 0
+    for net in nets:
+        (complexes, components, rank), per_comp = _dense_reference(net)
+        rep = net.deficiency()
+        assert (rep.num_complexes, rep.num_components, rep.rank) == (complexes, components, rank)
+        assert rep.deficiency == complexes - components - rank
+        assert [(c.complex_count, c.rank) for c in rep.components] == per_comp
+        assert all(c.deficiency == m - 1 - s for c, (m, s) in zip(rep.components, per_comp))
+        deficient += rep.deficiency > 0
+    assert 100 < deficient < 500
