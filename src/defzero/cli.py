@@ -7,12 +7,12 @@
                         paired-given-defzero|exact-small) ...
 
 Exit codes: 0 success, 1 usage or configuration error, 2 input-data error
-(a network file that does not parse).  Estimate tables go to stdout or
---out as CSV (default) or JSON; every output embeds the configuration that
-produced it, so any table can be regenerated from its own header.  CSV
-output starts with a single `#` comment line carrying that configuration.
-The environment variable DEFZERO_THREADS caps trial parallelism; results
-are identical for any setting.
+(a network file that is not UTF-8 or does not parse).  An invalid
+configuration is reported as one `defzero: <message>` line on stderr.
+Estimate tables go to stdout or --out as CSV (default) or JSON; every output
+embeds the configuration that produced it, so any table can be regenerated
+from its own header.  CSV output starts with a single `#` comment line
+carrying that configuration.
 """
 
 from __future__ import annotations
@@ -152,6 +152,9 @@ def _cmd_analyze(args) -> int:
     except OSError as exc:
         print(f"defzero: cannot read {args.path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except UnicodeDecodeError as exc:
+        print(f"defzero: {args.path}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         doc = parse_network(text)
     except NetworkParseError as exc:
@@ -171,12 +174,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    try:
-        cfg = ErTrialConfig(args.n, args.p, args.seed)
-    except ValueError as exc:
-        print(f"defzero: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    net = sample_er_network(cfg)
+    net = sample_er_network(ErTrialConfig(args.n, args.p, args.seed))
     report = net.deficiency()
     if args.emit_network:
         _emit(serialize_network(document_from_network(net)), args.emit_network)
@@ -203,17 +201,13 @@ def _parse_grid(raw: str) -> tuple[int, ...]:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        spec = SweepSpec(
-            n_grid=args.n_grid,
-            c=args.c,
-            beta=args.beta,
-            trials=args.trials,
-            master_seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"defzero: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = SweepSpec(
+        n_grid=args.n_grid,
+        c=args.c,
+        beta=args.beta,
+        trials=args.trials,
+        master_seed=args.seed,
+    )
     rows = sweep_threshold(spec)
     config = {
         "n_grid": list(spec.n_grid),
@@ -227,58 +221,48 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    try:
-        if args.experiment == "isolated":
-            rows = []
-            for n in sorted(set(args.n_grid)):
-                alpha = float(n) if args.alpha is None else args.alpha
-                spec = IsolatedTailSpec(
-                    n=n, alpha=alpha, trials=args.trials, seed=derive_seed(args.seed, n)
-                )
-                rows.append(estimate_isolated_tail(spec))
-            config = {
-                "n_grid": sorted(set(args.n_grid)),
-                "alpha": args.alpha,
-                "trials": args.trials,
-                "seed": args.seed,
-            }
-            _emit_rows("experiment isolated", config, rows, args)
-        elif args.experiment == "four-species":
-            row = estimate_four_species_given_paired(
-                args.n, args.k, args.trials, args.seed
+    if args.experiment == "isolated":
+        rows = []
+        for n in sorted(set(args.n_grid)):
+            alpha = float(n) if args.alpha is None else args.alpha
+            spec = IsolatedTailSpec(
+                n=n, alpha=alpha, trials=args.trials, seed=derive_seed(args.seed, n)
             )
-            config = {"n": args.n, "k": args.k, "trials": args.trials, "seed": args.seed}
-            _emit_rows("experiment four-species", config, [row], args)
-        elif args.experiment == "matrix-indep":
-            row = estimate_matrix_independence(args.n, args.k, args.trials, args.seed)
-            config = {"n": args.n, "k": args.k, "trials": args.trials, "seed": args.seed}
-            _emit_rows("experiment matrix-indep", config, [row], args)
-        elif args.experiment == "paired-given-defzero":
-            if not 0.0 <= args.p <= 1.0:
-                print(f"defzero: p must be in [0, 1], got {args.p}", file=sys.stderr)
-                return EXIT_USAGE
-            row = estimate_paired_given_def_zero(
-                ErTrialConfig(args.n, args.p, args.seed), args.trials
+            rows.append(estimate_isolated_tail(spec))
+        config = {
+            "n_grid": sorted(set(args.n_grid)),
+            "alpha": args.alpha,
+            "trials": args.trials,
+            "seed": args.seed,
+        }
+        _emit_rows("experiment isolated", config, rows, args)
+    elif args.experiment == "four-species":
+        row = estimate_four_species_given_paired(
+            args.n, args.k, args.trials, args.seed
+        )
+        config = {"n": args.n, "k": args.k, "trials": args.trials, "seed": args.seed}
+        _emit_rows("experiment four-species", config, [row], args)
+    elif args.experiment == "matrix-indep":
+        row = estimate_matrix_independence(args.n, args.k, args.trials, args.seed)
+        config = {"n": args.n, "k": args.k, "trials": args.trials, "seed": args.seed}
+        _emit_rows("experiment matrix-indep", config, [row], args)
+    elif args.experiment == "paired-given-defzero":
+        row = estimate_paired_given_def_zero(
+            ErTrialConfig(args.n, args.p, args.seed), args.trials
+        )
+        config = {"n": args.n, "p": args.p, "trials": args.trials, "seed": args.seed}
+        _emit_rows("experiment paired-given-defzero", config, [row], args)
+    else:  # exact-small
+        value = exact_def_zero_prob_small(args.n, args.p)
+        if args.format == "json":
+            record = OutputRecord(
+                command="experiment exact-small",
+                config={"n": args.n, "p": args.p},
+                rows=[{"n": args.n, "p": args.p, "exact_probability": value}],
             )
-            config = {"n": args.n, "p": args.p, "trials": args.trials, "seed": args.seed}
-            _emit_rows("experiment paired-given-defzero", config, [row], args)
-        else:  # exact-small
-            if not 0.0 <= args.p <= 1.0:
-                print(f"defzero: p must be in [0, 1], got {args.p}", file=sys.stderr)
-                return EXIT_USAGE
-            value = exact_def_zero_prob_small(args.n, args.p)
-            if args.format == "json":
-                record = OutputRecord(
-                    command="experiment exact-small",
-                    config={"n": args.n, "p": args.p},
-                    rows=[{"n": args.n, "p": args.p, "exact_probability": value}],
-                )
-                _emit(record.to_json() + "\n", args.out)
-            else:
-                _emit(f"{value!r}\n", args.out)
-    except ValueError as exc:
-        print(f"defzero: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+            _emit(record.to_json() + "\n", args.out)
+        else:
+            _emit(f"{value!r}\n", args.out)
     return EXIT_OK
 
 
@@ -374,7 +358,11 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     if getattr(args, "format", None) is None and args.command == "experiment":
         args.format = "text" if args.experiment == "exact-small" else "csv"
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"defzero: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

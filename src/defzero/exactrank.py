@@ -4,11 +4,12 @@ Deficiency is an integer identity, so ranks are over the rationals, exact.
 ``rank_of_columns`` first peels (structured Gaussian elimination, LaMacchia
 and Odlyzko 1990): a column that owns a row no other live column touches is
 independent of the rest, so it is removed and counted, round after round.
-The core left is eliminated over GF(2^31 - 1).  Rank over a prime field can
-only undercount the rational rank, so reaching min(rows, cols) certifies it.
-A short count falls back to fraction-free (Bareiss) elimination of the core:
-after each pivot step every entry is a minor of the original matrix, so
-dividing by the previous pivot is an exact integer division.
+A small core goes straight to fraction-free (Bareiss) elimination: after
+each pivot step every entry is a minor of the original matrix, so dividing
+by the previous pivot is an exact integer division.  A larger core is first
+eliminated over GF(2^31 - 1) with numpy.  Rank over a prime field can only
+undercount the rational rank, so reaching min(rows, cols) certifies it; a
+short count falls back to Bareiss on the core.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ import numpy as np
 
 PRIME = 2_147_483_647  # 2**31 - 1: a product of two residues fits in int64
 
-# rank_mod_prime uses numpy row operations once the shorter side of the
-# matrix reaches this size, Python lists below it.  A numpy step has tens of
-# microseconds of call overhead (52 us for a whole 3x3, against 10 us by
-# lists), while a list step costs in proportion to the entries it touches.
-# On random 4-sparse integer matrices (2 cores, Python 3.11, numpy 2.4) they
-# break even at 50 to 60 on the shorter side; at 100x100 numpy takes 4.6 ms
-# against 13.5 ms, at 40x40 the lists are 1.5x ahead.
-_NUMPY_MIN_SIDE = 64
+# rank_of_columns sends a core whose shorter side is below this size straight
+# to Bareiss, and a larger one to the numpy GF(p) elimination first.  A numpy
+# step has tens of microseconds of call overhead, while a Bareiss step costs
+# in proportion to the entries it touches, and its entries grow.  On random
+# 4-sparse square integer matrices (2 cores, Python 3.11, numpy 2.4) Bareiss
+# against numpy took 0.07 vs 0.19 ms at 16, 0.31 vs 0.35 ms at 28, 0.45 vs
+# 0.42 ms at 32 and 1.33 vs 0.69 ms at 48, so they break even near 32.
+_NUMPY_MIN_SIDE = 32
 
 Matrix = list[list[int]]
 
@@ -72,38 +73,14 @@ def bareiss_rank(mat: Matrix) -> int:
     return rank
 
 
-def _rank_mod_prime_lists(mat: Matrix, prime: int) -> int:
-    rows = [[x % prime for x in r] for r in mat]
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if n_rows else 0
-    rank = 0
-    for col in range(n_cols):
-        if rank == n_rows:
-            break
-        pivot_row = None
-        for r in range(rank, n_rows):
-            if rows[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != rank:
-            rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        top = rows[rank]
-        inv = pow(top[col], -1, prime)
-        for r in range(rank + 1, n_rows):
-            row = rows[r]
-            if row[col]:
-                factor = row[col] * inv % prime
-                for c in range(col + 1, n_cols):
-                    row[c] = (row[c] - factor * top[c]) % prime
-                row[col] = 0
-        rank += 1
-    return rank
+def rank_mod_prime(mat: Matrix) -> int:
+    """Rank over GF(PRIME); a lower bound for the rank over the rationals.
 
-
-def _rank_mod_prime_numpy(mat: Matrix, prime: int) -> int:
-    a = np.array(mat, dtype=np.int64) % prime
+    The input is a list of rows and is not modified.
+    """
+    if not mat:
+        return 0  # np.array([]) has no column axis
+    a = np.array(mat, dtype=np.int64) % PRIME
     rank = 0
     for col in range(a.shape[1]):
         if rank == a.shape[0]:
@@ -113,21 +90,10 @@ def _rank_mod_prime_numpy(mat: Matrix, prime: int) -> int:
         if hits.size:
             a[[rank, hits[0]]] = a[[hits[0], rank]]
             below = hits[1:]
-            factor = a[below, col] * pow(int(a[rank, col]), -1, prime) % prime
-            a[below, col:] = (a[below, col:] - factor[:, None] * a[rank, col:] % prime) % prime
+            factor = a[below, col] * pow(int(a[rank, col]), -1, PRIME) % PRIME
+            a[below, col:] = (a[below, col:] - factor[:, None] * a[rank, col:] % PRIME) % PRIME
             rank += 1
     return rank
-
-
-def rank_mod_prime(mat: Matrix, prime: int = PRIME) -> int:
-    """Rank over GF(prime); a lower bound for the rank over the rationals.
-
-    The input is a list of rows and is not modified.
-    """
-    # numpy's int64 holds a product of two residues only for primes < 2**31.5
-    if mat and min(len(mat), len(mat[0])) >= _NUMPY_MIN_SIDE and prime <= PRIME:
-        return _rank_mod_prime_numpy(mat, prime)
-    return _rank_mod_prime_lists(mat, prime)
 
 
 def _peel(vectors: list) -> tuple[int, list]:
@@ -184,7 +150,7 @@ def rank_of_columns(columns, n_rows: int) -> int:
     for j, vec in enumerate(core):
         for r, x in vec:
             mat[pos[r]][j] = x
-    fast = rank_mod_prime(mat)
-    if fast == min(len(pos), len(core)):
-        return peeled + fast
+    side = min(len(pos), len(core))
+    if side >= _NUMPY_MIN_SIDE and rank_mod_prime(mat) == side:
+        return peeled + side
     return peeled + bareiss_rank(mat)

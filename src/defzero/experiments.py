@@ -1,9 +1,9 @@
 """Monte Carlo estimators and exact small-n oracles.
 
 Every estimator derives one seed per trial from its master seed, so results
-are identical no matter how trials are scheduled.  Setting DEFZERO_THREADS
-to an integer above 1 runs trials on a thread pool; the output is
-bit-identical to the sequential run apart from wall_time_ms.
+are identical no matter how trials are scheduled.  Trials run one after
+another in the calling thread: they are pure Python, so a thread pool only
+adds overhead under the interpreter lock.
 
 The deficiency-zero check short-circuits whenever the network's spanning
 forest has more than n edges: deficiency zero needs the forest vectors to be
@@ -15,12 +15,10 @@ every complex has degree at least 1, so #components <= #complexes / 2.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from math import sqrt
+from math import isfinite, sqrt
 from typing import Callable
 
 from .complexes import index_to_complex, universe_size
@@ -109,10 +107,10 @@ class SweepSpec:
         object.__setattr__(self, "n_grid", tuple(self.n_grid))
         if not self.n_grid or any(n < 1 for n in self.n_grid):
             raise ValueError("n_grid must be a non-empty list of species counts >= 1")
-        if self.c <= 0:
-            raise ValueError(f"c must be positive, got {self.c}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not (isfinite(self.c) and self.c > 0):
+            raise ValueError(f"c must be positive and finite, got {self.c}")
+        if not (isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
 
@@ -131,31 +129,13 @@ class IsolatedTailSpec:
             raise ValueError(f"species count must be >= 1, got {self.n}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-
-
-def thread_count() -> int:
-    """Worker count from DEFZERO_THREADS (default 1)."""
-    raw = os.environ.get("DEFZERO_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"DEFZERO_THREADS must be a positive integer, got {raw!r}")
-    return value
+        if not isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
 
 
 def _map_trials(master_seed: int, trials: int, trial: Callable[[int], object]) -> list:
     """trial(seed) for each derived per-trial seed, in trial-index order."""
-    seeds = [derive_seed(master_seed, i) for i in range(trials)]
-    workers = thread_count()
-    if workers == 1:
-        return [trial(s) for s in seeds]
-    chunk = max(1, trials // (workers * 8))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(trial, seeds, chunksize=chunk))
+    return [trial(derive_seed(master_seed, i)) for i in range(trials)]
 
 
 def deficiency_is_zero(net: ReactionNetwork) -> bool:
@@ -239,7 +219,7 @@ def exact_def_zero_prob_small(n: int, p: float) -> float:
     if n not in (1, 2):
         raise ValueError(f"exact enumeration supports n in {{1, 2}}, got {n}")
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must be in [0, 1], got {p}")
+        raise ValueError(f"edge probability p must be in [0, 1], got {p}")
     counts = _def_zero_counts(n)
     total_pairs = len(counts) - 1
     return sum(
@@ -253,14 +233,14 @@ def sweep_threshold(spec: SweepSpec) -> list[EstimateRow]:
     """One deficiency-zero estimate per grid point, rows ordered by n.
 
     Each row's seed is derived from (master_seed, n), so subsetting or
-    reordering the grid reproduces identical rows.
+    reordering the grid reproduces identical rows.  Every row's configuration
+    is checked before the first trial runs.
     """
-    rows = []
+    configs = []
     for n in sorted(set(spec.n_grid)):
         p = min(1.0, spec.c * float(n) ** (-spec.beta))
-        cfg = ErTrialConfig(n, p, derive_seed(spec.master_seed, n))
-        rows.append(estimate_def_zero_prob(cfg, spec.trials))
-    return rows
+        configs.append(ErTrialConfig(n, p, derive_seed(spec.master_seed, n)))
+    return [estimate_def_zero_prob(cfg, spec.trials) for cfg in configs]
 
 
 def estimate_isolated_tail(spec: IsolatedTailSpec) -> EstimateRow:

@@ -23,6 +23,13 @@ from .network import ReactionNetwork
 from .rng import generator
 
 
+# Sampling one edge and building its reversible reaction pair peaks at 740 to
+# 820 bytes (tracemalloc, draws of 2e4 to 1e5 edges), so a draw of this many
+# expected edges needs about 0.8 GB.  A larger request is refused before any
+# edge is drawn: at p = 1 the sampler would first build range(M) as a set.
+_MAX_EXPECTED_EDGES = 10**6
+
+
 @dataclass(frozen=True)
 class ErTrialConfig:
     """One Erdos-Renyi draw: species count, edge probability, seed."""
@@ -38,6 +45,12 @@ class ErTrialConfig:
             raise ValueError(f"edge probability p must be in [0, 1], got {self.p}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        size = universe_size(self.n)
+        # p > limit / M, not p * M > limit: M may be too large for a float
+        if self.p > _MAX_EXPECTED_EDGES / (size * (size - 1) // 2):
+            raise ValueError(
+                f"n={self.n}, p={self.p} expects more than {_MAX_EXPECTED_EDGES} edges"
+            )
 
 
 def unrank_edge(t: int) -> tuple[int, int]:

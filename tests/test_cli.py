@@ -62,6 +62,16 @@ def test_analyze_parse_error(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_analyze_non_utf8_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "binary.crn"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, "analyze", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"defzero: {bad}: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_analyze_json(capsys):
     code, out, _ = run_cli(
         capsys, "analyze", str(DATA / "three_paired.crn"), "--format", "json"
@@ -115,6 +125,39 @@ def test_sample_rejects_bad_config_without_traceback(capsys, flags, word):
     assert code == 1
     assert out == ""
     assert err.startswith("defzero: ") and word in err
+    assert len(err.splitlines()) == 1
+
+
+def _refuse_to_draw(*args):
+    pytest.fail("edges were drawn for a request that should be refused")
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "--n", "1000", "--p", "1"),
+    ("sweep", "--n-grid", "2,1000", "--c", "1", "--beta", "0.1", "--trials", "2"),
+])
+def test_oversized_draws_are_refused_before_sampling(capsys, monkeypatch, argv):
+    monkeypatch.setattr("defzero.sampler.sample_edge_ranks", _refuse_to_draw)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("defzero: ") and "edges" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--n-grid", "2", "--c", "nan", "--beta", "3", "--trials", "2", "--format", "json"),
+    ("sweep", "--n-grid", "2", "--c", "inf", "--beta", "3", "--trials", "2"),
+    ("sweep", "--n-grid", "2", "--beta", "nan", "--trials", "2"),
+    ("sweep", "--n-grid", "2", "--beta", "inf", "--trials", "2"),
+    ("experiment", "isolated", "--n-grid", "2", "--alpha", "nan", "--trials", "2"),
+    ("experiment", "isolated", "--n-grid", "2", "--alpha=-inf", "--trials", "2"),
+])
+def test_non_finite_parameters_are_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("defzero: ") and "finite" in err
     assert len(err.splitlines()) == 1
 
 
@@ -252,6 +295,13 @@ def test_experiment_paired_given_defzero(capsys):
     assert lines[1] == (
         "n,p,trials,successes,estimate,ci_low,ci_high,conditioning_count,wall_time_ms"
     )
+
+
+def test_experiment_exact_small_rejects_bad_p(capsys):
+    code, out, err = run_cli(capsys, "experiment", "exact-small", "--n", "1", "--p", "2")
+    assert code == 1
+    assert out == ""
+    assert err == "defzero: edge probability p must be in [0, 1], got 2.0\n"
 
 
 def test_experiment_unknown_name_lists_choices(capsys):

@@ -28,6 +28,9 @@ def test_rectangular_against_oracle():
 def test_degenerate_shapes():
     assert bareiss_rank([]) == 0
     assert bareiss_rank([[0, 0]]) == 0
+    assert rank_mod_prime([]) == 0
+    assert rank_mod_prime([[]]) == 0
+    assert rank_mod_prime([[0, 0]]) == 0
     assert rank_of_columns([], 3) == 0
     assert rank_of_columns([(0, 0, 0)], 3) == 0
 
@@ -78,12 +81,34 @@ def test_numpy_elimination_agrees_with_list_and_exact_kernels():
                 row.append(row[a] - 2 * row[b])
         expected = bareiss_rank(base)
         assert rank_mod_prime(base) == expected
-        assert exactrank._rank_mod_prime_lists(base, exactrank.PRIME) == expected
         columns = [{r: row[j] for r, row in enumerate(base) if row[j]} for j in range(cols)]
         assert rank_of_columns(columns, rows) == expected
         short += expected < min(rows, cols)
         full += expected == min(rows, cols)
     assert short and full
+
+
+def test_small_cores_skip_the_prime_field(monkeypatch):
+    # A dense deficient core (no entry zero, so nothing peels): below the
+    # crossover it goes to Bareiss alone, at it the prime field runs once and,
+    # falling short, hands over to Bareiss.
+    calls = []
+
+    def counting(mat):
+        calls.append(len(mat))
+        return rank_mod_prime(mat)
+
+    monkeypatch.setattr(exactrank, "rank_mod_prime", counting)
+    rng = np.random.default_rng(5)
+    side = exactrank._NUMPY_MIN_SIDE
+    for size, expected_calls in ((side - 1, 0), (side, 1)):
+        base = [[int(x) for x in rng.choice([-2, -1, 1, 2], size=size - 1)] for _ in range(size)]
+        for row in base:
+            row.append(row[0] + row[1])
+        columns = [tuple(row[j] for row in base) for j in range(size)]
+        calls.clear()
+        assert rank_of_columns(columns, size) == bareiss_rank(base) == size - 1
+        assert len(calls) == expected_calls
 
 
 @given(

@@ -225,18 +225,3 @@ def test_rows_are_schedule_independent(monkeypatch):
     assert (seq.n, seq.p, seq.trials, seq.successes, seq.estimate, seq.ci_low, seq.ci_high) == (
         par.n, par.p, par.trials, par.successes, par.estimate, par.ci_low, par.ci_high
     )
-
-
-def test_thread_count_env_validation(monkeypatch):
-    from defzero.experiments import thread_count
-
-    monkeypatch.delenv("DEFZERO_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("DEFZERO_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("DEFZERO_THREADS", "zero")
-    with pytest.raises(ValueError):
-        thread_count()
-    monkeypatch.setenv("DEFZERO_THREADS", "0")
-    with pytest.raises(ValueError):
-        thread_count()

@@ -32,6 +32,22 @@ def test_config_validation():
         ErTrialConfig(2, 0.5, -1)
 
 
+def test_config_refuses_oversized_draws(monkeypatch):
+    # Construction alone must refuse: no edge may be drawn for such a request.
+    def refuse(*args):
+        pytest.fail("edges were drawn for a request that should be refused")
+
+    monkeypatch.setattr("defzero.sampler.sample_edge_ranks", refuse)
+    with pytest.raises(ValueError, match="edges"):
+        ErTrialConfig(1000, 1.0, 0)
+    size = universe_size(1000)
+    ErTrialConfig(1000, 0.99e6 / (size * (size - 1) // 2), 0)
+    # pair counts beyond the float range: only p = 0 fits
+    ErTrialConfig(10**80, 0.0, 0)
+    with pytest.raises(ValueError, match="edges"):
+        ErTrialConfig(10**80, 1e-300, 0)
+
+
 def test_unrank_edge_enumeration():
     seen = [unrank_edge(t) for t in range(10)]
     assert seen == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4)]
