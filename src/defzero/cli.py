@@ -1,18 +1,19 @@
 """Command-line interface.
 
     defzero analyze FILE [--format text|json]
-    defzero sample --n N --p P --seed S [--emit-network PATH] [--format ...]
+    defzero sample --n N --p P --seed S [--emit-network PATH] [--format text|json]
     defzero sweep --n-grid 20,40,80 --c 1 --beta 3.5 --trials 2000 --seed 7
     defzero experiment (isolated|four-species|matrix-indep|
-                        paired-given-defzero|exact-small) ...
+                        paired-given-defzero) ... [--format csv|json]
+    defzero experiment exact-small --n N --p P [--format text|json]
 
-Exit codes: 0 success, 1 usage or configuration error, 2 input-data error
-(a network file that is not UTF-8 or does not parse).  An invalid
-configuration is reported as one `defzero: <message>` line on stderr.
-Estimate tables go to stdout or --out as CSV (default) or JSON; every output
-embeds the configuration that produced it, so any table can be regenerated
-from its own header.  CSV output starts with a single `#` comment line
-carrying that configuration.
+Exit codes: 0 success, 1 usage or configuration error (an output path that
+cannot be written included), 2 input-data error (a network file that is not
+UTF-8 or does not parse).  An invalid configuration is reported as one
+`defzero: <message>` line on stderr.  Estimate tables go to stdout or --out
+as CSV (default) or JSON; every output embeds the configuration that
+produced it, so any table can be regenerated from its own header.  CSV
+output starts with a single `#` comment line carrying that configuration.
 """
 
 from __future__ import annotations
@@ -71,15 +72,7 @@ class OutputRecord:
     schema_version: str = SCHEMA_VERSION
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema_version": self.schema_version,
-                "command": self.command,
-                "config": self.config,
-                "rows": self.rows,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(vars(self), sort_keys=True)  # the four fields above
 
     def to_csv(self, columns: list[str]) -> str:
         header = (
@@ -111,9 +104,12 @@ def _estimate_columns(rows: list[EstimateRow]) -> list[str]:
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:  # an unwritable output path is a configuration error
+        raise ValueError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _emit_rows(command: str, config: dict, rows: list[EstimateRow], args) -> None:
@@ -145,6 +141,14 @@ def render_report(report: DeficiencyReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _emit_report(command: str, config: dict, report: DeficiencyReport, fmt: str) -> None:
+    if fmt == "json":
+        record = OutputRecord(command=command, config=config, rows=[report.to_dict()])
+        _emit(record.to_json() + "\n", None)
+    else:
+        _emit(render_report(report), None)
+
+
 def _cmd_analyze(args) -> int:
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
@@ -161,15 +165,7 @@ def _cmd_analyze(args) -> int:
         print(f"defzero: {args.path}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     report = to_reaction_network(doc).deficiency()
-    if args.format == "json":
-        record = OutputRecord(
-            command="analyze",
-            config={"path": args.path},
-            rows=[report.to_dict()],
-        )
-        _emit(record.to_json() + "\n", None)
-    else:
-        _emit(render_report(report), None)
+    _emit_report("analyze", {"path": args.path}, report, args.format)
     return EXIT_OK
 
 
@@ -178,15 +174,8 @@ def _cmd_sample(args) -> int:
     report = net.deficiency()
     if args.emit_network:
         _emit(serialize_network(document_from_network(net)), args.emit_network)
-    if args.format == "json":
-        record = OutputRecord(
-            command="sample",
-            config={"n": args.n, "p": args.p, "seed": args.seed},
-            rows=[report.to_dict()],
-        )
-        _emit(record.to_json() + "\n", None)
-    else:
-        _emit(render_report(report), None)
+    config = {"n": args.n, "p": args.p, "seed": args.seed}
+    _emit_report("sample", config, report, args.format)
     return EXIT_OK
 
 
@@ -220,49 +209,46 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_experiment(args) -> int:
-    if args.experiment == "isolated":
-        rows = []
-        for n in sorted(set(args.n_grid)):
-            alpha = float(n) if args.alpha is None else args.alpha
-            spec = IsolatedTailSpec(
-                n=n, alpha=alpha, trials=args.trials, seed=derive_seed(args.seed, n)
-            )
-            rows.append(estimate_isolated_tail(spec))
-        config = {
-            "n_grid": sorted(set(args.n_grid)),
-            "alpha": args.alpha,
-            "trials": args.trials,
-            "seed": args.seed,
-        }
-        _emit_rows("experiment isolated", config, rows, args)
-    elif args.experiment == "four-species":
-        row = estimate_four_species_given_paired(
-            args.n, args.k, args.trials, args.seed
+def _cmd_isolated(args) -> int:
+    grid = sorted(set(args.n_grid))
+    specs = []  # every row is checked before the first trial runs
+    for n in grid:
+        alpha = float(n) if args.alpha is None else args.alpha
+        specs.append(IsolatedTailSpec(n, alpha, args.trials, derive_seed(args.seed, n)))
+    rows = [estimate_isolated_tail(spec) for spec in specs]
+    config = {"n_grid": grid, "alpha": args.alpha, "trials": args.trials, "seed": args.seed}
+    _emit_rows("experiment isolated", config, rows, args)
+    return EXIT_OK
+
+
+def _cmd_k_estimate(args) -> int:
+    # four-species and matrix-indep: args.estimator(n, k, trials, seed)
+    row = args.estimator(args.n, args.k, args.trials, args.seed)
+    config = {"n": args.n, "k": args.k, "trials": args.trials, "seed": args.seed}
+    _emit_rows(f"experiment {args.experiment}", config, [row], args)
+    return EXIT_OK
+
+
+def _cmd_paired(args) -> int:
+    row = estimate_paired_given_def_zero(
+        ErTrialConfig(args.n, args.p, args.seed), args.trials
+    )
+    config = {"n": args.n, "p": args.p, "trials": args.trials, "seed": args.seed}
+    _emit_rows("experiment paired-given-defzero", config, [row], args)
+    return EXIT_OK
+
+
+def _cmd_exact_small(args) -> int:
+    value = exact_def_zero_prob_small(args.n, args.p)
+    if args.format == "json":
+        record = OutputRecord(
+            command="experiment exact-small",
+            config={"n": args.n, "p": args.p},
+            rows=[{"n": args.n, "p": args.p, "exact_probability": value}],
         )
-        config = {"n": args.n, "k": args.k, "trials": args.trials, "seed": args.seed}
-        _emit_rows("experiment four-species", config, [row], args)
-    elif args.experiment == "matrix-indep":
-        row = estimate_matrix_independence(args.n, args.k, args.trials, args.seed)
-        config = {"n": args.n, "k": args.k, "trials": args.trials, "seed": args.seed}
-        _emit_rows("experiment matrix-indep", config, [row], args)
-    elif args.experiment == "paired-given-defzero":
-        row = estimate_paired_given_def_zero(
-            ErTrialConfig(args.n, args.p, args.seed), args.trials
-        )
-        config = {"n": args.n, "p": args.p, "trials": args.trials, "seed": args.seed}
-        _emit_rows("experiment paired-given-defzero", config, [row], args)
-    else:  # exact-small
-        value = exact_def_zero_prob_small(args.n, args.p)
-        if args.format == "json":
-            record = OutputRecord(
-                command="experiment exact-small",
-                config={"n": args.n, "p": args.p},
-                rows=[{"n": args.n, "p": args.p, "exact_probability": value}],
-            )
-            _emit(record.to_json() + "\n", args.out)
-        else:
-            _emit(f"{value!r}\n", args.out)
+        _emit(record.to_json() + "\n", args.out)
+    else:
+        _emit(f"{value!r}\n", args.out)
     return EXIT_OK
 
 
@@ -276,6 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
         "threshold experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Arguments shared by every Monte Carlo estimate command.
+    estimate = argparse.ArgumentParser(add_help=False)
+    estimate.add_argument("--trials", type=int, required=True)
+    estimate.add_argument("--seed", type=int, default=0)
+    estimate.add_argument("--out", metavar="PATH")
+    estimate.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p_analyze = sub.add_parser("analyze", help="deficiency report for a network file")
     p_analyze.add_argument("path")
@@ -290,63 +282,53 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--format", choices=["text", "json"], default="text")
     p_sample.set_defaults(func=_cmd_sample)
 
-    p_sweep = sub.add_parser("sweep", help="deficiency-zero probability sweep")
+    p_sweep = sub.add_parser(
+        "sweep", parents=[estimate], help="deficiency-zero probability sweep"
+    )
     p_sweep.add_argument("--n-grid", type=_parse_grid, required=True)
     p_sweep.add_argument("--c", type=float, default=1.0)
     p_sweep.add_argument("--beta", type=float, required=True)
-    p_sweep.add_argument("--trials", type=int, required=True)
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--out", metavar="PATH")
-    p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_exp = sub.add_parser("experiment", help="estimators for specific structure laws")
     exp_sub = p_exp.add_subparsers(dest="experiment", required=True)
 
     e_isolated = exp_sub.add_parser(
-        "isolated", help="tail of the isolated-vertex count"
+        "isolated", parents=[estimate], help="tail of the isolated-vertex count"
     )
     e_isolated.add_argument("--n-grid", type=_parse_grid, required=True)
     e_isolated.add_argument(
         "--alpha", type=float, default=None, help="defaults to alpha = n per grid point"
     )
-    e_isolated.add_argument("--trials", type=int, required=True)
-    e_isolated.add_argument("--seed", type=int, default=0)
+    e_isolated.set_defaults(func=_cmd_isolated)
 
-    e_four = exp_sub.add_parser(
-        "four-species", help="all reaction vectors touch four species, under pairing"
-    )
-    e_four.add_argument("--n", type=int, required=True)
-    e_four.add_argument("--k", type=int, required=True)
-    e_four.add_argument("--trials", type=int, required=True)
-    e_four.add_argument("--seed", type=int, default=0)
-
-    e_matrix = exp_sub.add_parser(
-        "matrix-indep", help="column independence of sampled sign matrices"
-    )
-    e_matrix.add_argument("--n", type=int, required=True)
-    e_matrix.add_argument("--k", type=int, required=True)
-    e_matrix.add_argument("--trials", type=int, required=True)
-    e_matrix.add_argument("--seed", type=int, default=0)
+    for name, estimator, text in (
+        ("four-species", estimate_four_species_given_paired,
+         "all reaction vectors touch four species, under pairing"),
+        ("matrix-indep", estimate_matrix_independence,
+         "column independence of sampled sign matrices"),
+    ):
+        e_k = exp_sub.add_parser(name, parents=[estimate], help=text)
+        e_k.add_argument("--n", type=int, required=True)
+        e_k.add_argument("--k", type=int, required=True)
+        e_k.set_defaults(func=_cmd_k_estimate, estimator=estimator)
 
     e_paired = exp_sub.add_parser(
-        "paired-given-defzero", help="paired fraction among deficiency-zero draws"
+        "paired-given-defzero", parents=[estimate],
+        help="paired fraction among deficiency-zero draws",
     )
     e_paired.add_argument("--n", type=int, required=True)
     e_paired.add_argument("--p", type=float, required=True)
-    e_paired.add_argument("--trials", type=int, required=True)
-    e_paired.add_argument("--seed", type=int, default=0)
+    e_paired.set_defaults(func=_cmd_paired)
 
     e_exact = exp_sub.add_parser(
         "exact-small", help="exact deficiency-zero probability for n in {1, 2}"
     )
     e_exact.add_argument("--n", type=int, choices=[1, 2], required=True)
     e_exact.add_argument("--p", type=float, required=True)
-
-    for sp in (e_isolated, e_four, e_matrix, e_paired, e_exact):
-        sp.add_argument("--out", metavar="PATH")
-        sp.add_argument("--format", choices=["csv", "json", "text"], default=None)
-    p_exp.set_defaults(func=_cmd_experiment)
+    e_exact.add_argument("--out", metavar="PATH")
+    e_exact.add_argument("--format", choices=["text", "json"], default="text")
+    e_exact.set_defaults(func=_cmd_exact_small)
 
     return parser
 
@@ -356,8 +338,6 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if getattr(args, "format", None) is None and args.command == "experiment":
-        args.format = "text" if args.experiment == "exact-small" else "csv"
     try:
         return args.func(args)
     except ValueError as exc:

@@ -127,14 +127,26 @@ class IsolatedTailSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"species count must be >= 1, got {self.n}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
+        ErTrialConfig(self.n, self.p, self.seed)  # refuses an oversized draw
+
+    @property
+    def p(self) -> float:
+        """The edge probability, clamped at 1; alpha must keep it positive."""
+        size = universe_size(self.n)
+        p_raw = (2 * self.n + self.alpha) / (size * (size - 1))
+        if p_raw <= 0.0:
+            raise ValueError(
+                f"alpha={self.alpha} drives the edge probability to {p_raw}; it must stay positive"
+            )
+        return min(1.0, p_raw)
 
 
 def _map_trials(master_seed: int, trials: int, trial: Callable[[int], object]) -> list:
     """trial(seed) for each derived per-trial seed, in trial-index order."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     return [trial(derive_seed(master_seed, i)) for i in range(trials)]
 
 
@@ -174,17 +186,23 @@ def _finish(
     )
 
 
+def _estimate(
+    n: int, p: float | None, master_seed: int, trials: int,
+    trial: Callable[[int], bool], k: int | None = None,
+) -> EstimateRow:
+    """The fraction of the trials for which trial(seed) holds, timed."""
+    started = time.perf_counter()
+    successes = sum(_map_trials(master_seed, trials, trial))
+    return _finish(n, p, trials, successes, started, k=k)
+
+
 def estimate_def_zero_prob(cfg: ErTrialConfig, trials: int) -> EstimateRow:
     """Fraction of Erdos-Renyi draws with deficiency zero."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    started = time.perf_counter()
 
     def trial(seed: int) -> bool:
         return deficiency_is_zero(sample_er_network(ErTrialConfig(cfg.n, cfg.p, seed)))
 
-    successes = sum(_map_trials(cfg.seed, trials, trial))
-    return _finish(cfg.n, cfg.p, trials, successes, started)
+    return _estimate(cfg.n, cfg.p, cfg.seed, trials, trial)
 
 
 @lru_cache(maxsize=None)
@@ -244,26 +262,15 @@ def sweep_threshold(spec: SweepSpec) -> list[EstimateRow]:
 
 
 def estimate_isolated_tail(spec: IsolatedTailSpec) -> EstimateRow:
-    """Estimates P(isolated count >= N - 2n) at p = (2n + alpha)/(N(N-1)).
-
-    alpha must keep p positive; p is clamped at 1 from above.
-    """
-    size = universe_size(spec.n)
-    p_raw = (2 * spec.n + spec.alpha) / (size * (size - 1))
-    if p_raw <= 0.0:
-        raise ValueError(
-            f"alpha={spec.alpha} drives the edge probability to {p_raw}; it must stay positive"
-        )
-    p = min(1.0, p_raw)
-    threshold = size - 2 * spec.n
-    started = time.perf_counter()
+    """Estimates P(isolated count >= N - 2n) at p = spec.p."""
+    p = spec.p
+    threshold = universe_size(spec.n) - 2 * spec.n
 
     def trial(seed: int) -> bool:
         net = sample_er_network(ErTrialConfig(spec.n, p, seed))
         return count_isolated(net) >= threshold
 
-    successes = sum(_map_trials(spec.seed, spec.trials, trial))
-    return _finish(spec.n, p, spec.trials, successes, started)
+    return _estimate(spec.n, p, spec.seed, spec.trials, trial)
 
 
 def _all_reactions_touch_four_species(net: ReactionNetwork) -> bool:
@@ -275,34 +282,26 @@ def estimate_four_species_given_paired(
 ) -> EstimateRow:
     """Fraction of uniform k-paired draws in which every reaction vector
     has exactly four non-zero entries."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if n < 1:
+        raise ValueError(f"species count must be >= 1, got {n}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    if 2 * k > universe_size(n):
-        raise ValueError(f"cannot place {k} disjoint pairs for n={n}")
-    started = time.perf_counter()
 
     def trial(s: int) -> bool:
         return _all_reactions_touch_four_species(sample_k_paired(n, k, s))
 
-    successes = sum(_map_trials(seed, trials, trial))
-    return _finish(n, None, trials, successes, started, k=k)
+    return _estimate(n, None, seed, trials, trial, k=k)
 
 
 def estimate_matrix_independence(n: int, k: int, trials: int, seed: int) -> EstimateRow:
     """Fraction of sampled four-sparse sign matrices with independent columns."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    started = time.perf_counter()
 
     def trial(s: int) -> bool:
         return is_columns_independent(sample_sparse_sign_matrix(n, k, s))
 
-    successes = sum(_map_trials(seed, trials, trial))
-    return _finish(n, None, trials, successes, started, k=k)
+    return _estimate(n, None, seed, trials, trial, k=k)
 
 
 def estimate_paired_given_def_zero(cfg: ErTrialConfig, trials: int) -> EstimateRow:
@@ -311,8 +310,6 @@ def estimate_paired_given_def_zero(cfg: ErTrialConfig, trials: int) -> EstimateR
     The conditioning count is reported so callers can judge significance;
     with zero qualifying draws the estimate is undefined (None), not 0.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     started = time.perf_counter()
 
     def trial(seed: int) -> tuple[int, int]:

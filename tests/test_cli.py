@@ -145,6 +145,33 @@ def test_oversized_draws_are_refused_before_sampling(capsys, monkeypatch, argv):
     assert len(err.splitlines()) == 1
 
 
+def test_isolated_checks_every_row_before_sampling(capsys, monkeypatch):
+    # the n=2 row is drawn first unless every row is checked up front
+    monkeypatch.setattr("defzero.sampler.sample_edge_ranks", _refuse_to_draw)
+    code, out, err = run_cli(
+        capsys, "experiment", "isolated", "--n-grid", "2,1000", "--alpha", "1e13",
+        "--trials", "3",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("defzero: ") and "edges" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--n-grid", "2", "--beta", "3", "--trials", "2",
+     "--out", "/nonexistent/dir/rows.csv"),
+    ("sample", "--n", "2", "--p", "0.5", "--emit-network", "/nonexistent/dir/x.crn"),
+    ("experiment", "exact-small", "--n", "1", "--p", "0.5", "--out", "/nonexistent/dir/x"),
+])
+def test_unwritable_output_path_exits_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"defzero: cannot write {argv[-1]}: ")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("sweep", "--n-grid", "2", "--c", "nan", "--beta", "3", "--trials", "2", "--format", "json"),
     ("sweep", "--n-grid", "2", "--c", "inf", "--beta", "3", "--trials", "2"),
@@ -327,6 +354,27 @@ def test_experiments_reject_negative_k(capsys):
         assert code == 1
         assert out == ""
         assert err == "defzero: k must be >= 0, got -1\n"
+
+
+def test_four_species_rejects_empty_species_set(capsys):
+    code, out, err = run_cli(
+        capsys, "experiment", "four-species", "--n", "0", "--k", "0", "--trials", "3",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "defzero: species count must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("experiment", "isolated", "--n-grid", "3", "--trials", "5", "--format", "text"),
+    ("experiment", "exact-small", "--n", "1", "--p", "0.5", "--format", "csv"),
+])
+def test_experiment_format_choices_are_exact(capsys, argv):
+    # estimators print csv or json, exact-small text or json; no aliases
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "invalid choice" in err
 
 
 def test_one_parser_serves_repeated_calls(capsys):

@@ -145,6 +145,24 @@ def test_isolated_tail_p_clamps_high_and_rejects_nonpositive():
         estimate_isolated_tail(IsolatedTailSpec(n=5, alpha=-10.0, trials=10, seed=1))
 
 
+def test_isolated_tail_spec_refuses_oversized_draw():
+    # p clamps at 1 at n=1000, about 1.3e11 expected edges; construction only
+    with pytest.raises(ValueError, match="edges"):
+        IsolatedTailSpec(n=1000, alpha=1e13, trials=3, seed=0)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda: estimate_def_zero_prob(ErTrialConfig(3, 0.1, 1), 0),
+    lambda: estimate_isolated_tail(IsolatedTailSpec(n=3, alpha=3.0, trials=0, seed=1)),
+    lambda: estimate_four_species_given_paired(5, 1, 0, 1),
+    lambda: estimate_matrix_independence(10, 2, 0, 1),
+    lambda: estimate_paired_given_def_zero(ErTrialConfig(3, 0.1, 1), 0),
+], ids=["def-zero", "isolated", "four-species", "matrix-indep", "paired-given-def-zero"])
+def test_estimators_reject_zero_trials(estimate):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        estimate()
+
+
 def test_isolated_tail_small_scale_trend():
     rows = []
     for n in (10, 20):
