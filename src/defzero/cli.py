@@ -7,13 +7,14 @@
                         paired-given-defzero) ... [--format csv|json]
     defzero experiment exact-small --n N --p P [--format text|json]
 
-Exit codes: 0 success, 1 usage or configuration error (an output path that
-cannot be written included), 2 input-data error (a network file that is not
-UTF-8 or does not parse).  An invalid configuration is reported as one
-`defzero: <message>` line on stderr.  Estimate tables go to stdout or --out
-as CSV (default) or JSON; every output embeds the configuration that
-produced it, so any table can be regenerated from its own header.  CSV
-output starts with a single `#` comment line carrying that configuration.
+Exit codes: 0 success, 1 usage or configuration error (a negative seed and
+an output path that cannot be written included, both refused before any
+trial), 2 input-data error (a network file that is not UTF-8 or does not
+parse).  An invalid configuration is reported as one `defzero: <message>`
+line on stderr.  Estimate tables go to stdout or --out as CSV (default) or
+JSON; every output embeds the configuration that produced it, so any table
+can be regenerated from its own header.  CSV output starts with a single `#`
+comment line carrying that configuration.
 """
 
 from __future__ import annotations
@@ -101,12 +102,12 @@ def _estimate_columns(rows: list[EstimateRow]) -> list[str]:
     return cols
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str, out_path: str | None, mode: str = "w") -> None:
     if out_path is None:
         sys.stdout.write(text)
         return
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open(out_path, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:  # an unwritable output path is a configuration error
         raise ValueError(f"cannot write {out_path}: {exc}") from exc
@@ -333,12 +334,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_before_trials(args) -> None:
+    """Refuses a negative seed, and opens every output path, before the
+    command runs a trial.  Appending nothing creates a missing file and
+    leaves an existing one as it is until the result replaces it."""
+    seed = getattr(args, "seed", 0)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    for path in (getattr(args, "out", None), getattr(args, "emit_network", None)):
+        if path is not None:
+            _emit("", path, mode="a")
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        _check_before_trials(args)
         return args.func(args)
     except ValueError as exc:
         print(f"defzero: {exc}", file=sys.stderr)

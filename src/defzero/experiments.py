@@ -16,7 +16,7 @@ every complex has degree at least 1, so #components <= #complexes / 2.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from math import isfinite, sqrt
 from typing import Callable
@@ -76,20 +76,11 @@ class EstimateRow:
     k: int | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "p": self.p,
-            "trials": self.trials,
-            "successes": self.successes,
-            "estimate": self.estimate,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "wall_time_ms": self.wall_time_ms,
-        }
-        if self.conditioning_count is not None:
-            out["conditioning_count"] = self.conditioning_count
-        if self.k is not None:
-            out["k"] = self.k
+        """The fields, less conditioning_count and k when they are None."""
+        out = asdict(self)
+        for optional in ("conditioning_count", "k"):
+            if out[optional] is None:
+                del out[optional]
         return out
 
 

@@ -7,26 +7,31 @@ One reaction per line:
 
 A complex is `0` (the empty complex) or `+`-separated terms, each an
 optional positive integer coefficient followed by a species name
-(a letter, then letters/digits/underscores), e.g. `S1 + 2 P`.  `#` starts
-a comment, blank lines are skipped, and both LF and CRLF are accepted.
-Species get 1-based ids in order of first appearance; that order defines
-the coordinate order of all vectors derived from the file.
+(a letter, then letters/digits/underscores), e.g. `S1 + 2 P`.  Only spaces
+and tabs separate tokens, and they may be left out (`2S1` is `2 S1`).  `#`
+starts a comment, blank lines are skipped, and both LF and CRLF are
+accepted.  Species get 1-based ids in order of first appearance; that order
+defines the coordinate order of all vectors derived from the file.
 
 Molecularity is not restricted by the parser; a binary-only check is
 available on the parsed document.  Coefficients above 4096 are rejected as
-a sanity bound.
+a sanity bound.  Any input outside this grammar raises NetworkParseError,
+whose message names the 1-based line and column of the fault.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .complexes import Complex
 from .network import Reaction, ReactionNetwork
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"[0-9]+")
+# Blanks are spaces and tabs; any other character that starts no token is
+# an error.
+_TOKEN_RE = re.compile(
+    r"(?P<op><->|->|\+)|(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<bad>[^ \t])"
+)
 
 _MAX_COEFFICIENT = 4096
 
@@ -47,7 +52,6 @@ class NetworkDocument:
 
     species_order: tuple[str, ...]
     reactions: tuple[Reaction, ...]
-    source_text: str = field(default="", compare=False)
 
     @property
     def is_binary(self) -> bool:
@@ -57,124 +61,74 @@ class NetworkDocument:
         )
 
 
-def _tokenize(line: str, line_no: int):
-    """Tokens (kind, value, column) for one logical line."""
-    tokens = []
+def _parse_reaction(line: str, line_no: int, species: dict[str, int]) -> list[Reaction]:
+    """The reactions on one line: one for `->`, two for `<->`.  New species
+    names are added to species with the next id."""
+    tokens = []  # (kind, text, column); an operator's kind is its own text
+    for m in _TOKEN_RE.finditer(line):
+        kind, text = m.lastgroup, m.group()
+        if kind == "bad":
+            raise NetworkParseError(
+                f"unexpected character {text!r}", line_no, m.start() + 1
+            )
+        tokens.append((text if kind == "op" else kind, text, m.start() + 1))
+    tokens.append(("end", "", len(line) + 1))
     pos = 0
-    length = len(line)
-    while pos < length:
-        ch = line[pos]
-        if ch in " \t":
-            pos += 1
-            continue
-        col = pos + 1
-        if line.startswith("<->", pos):
-            tokens.append(("BIARROW", "<->", col))
-            pos += 3
-        elif line.startswith("->", pos):
-            tokens.append(("ARROW", "->", col))
-            pos += 2
-        elif ch == "+":
-            tokens.append(("PLUS", "+", col))
-            pos += 1
-        elif m := _INT_RE.match(line, pos):
-            tokens.append(("INT", m.group(), col))
-            pos = m.end()
-        elif m := _NAME_RE.match(line, pos):
-            tokens.append(("NAME", m.group(), col))
-            pos = m.end()
-        else:
-            raise NetworkParseError(f"unexpected character {ch!r}", line_no, col)
-    return tokens
 
-
-class _LineParser:
-    def __init__(self, tokens, line_no: int, line_len: int, species: dict[str, int], order: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-        self.line_no = line_no
-        self.line_len = line_len
-        self.species = species
-        self.order = order
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
-
-    def fail(self, message: str, column: int | None = None):
+    def fail(message: str, column: int | None = None):
         if column is None:
-            tok = self.peek()
-            column = tok[2] if tok else self.line_len + 1
-        raise NetworkParseError(message, self.line_no, column)
+            column = tokens[pos][2]
+        raise NetworkParseError(message, line_no, column)
 
-    def species_id(self, name: str) -> int:
-        if name not in self.species:
-            self.species[name] = len(self.order) + 1
-            self.order.append(name)
-        return self.species[name]
-
-    def parse_complex(self) -> Complex:
-        tok = self.peek()
-        if tok is None:
-            self.fail("expected a complex")
-        if tok[0] == "INT" and int(tok[1]) == 0:
-            self.take()
-            nxt = self.peek()
-            if nxt is not None and nxt[0] in ("NAME", "PLUS"):
-                self.fail("coefficient 0 is not allowed", tok[2])
+    def parse_complex() -> Complex:
+        nonlocal pos
+        kind, text, col = tokens[pos]
+        if kind == "end":
+            fail("expected a complex")
+        if kind == "int" and int(text) == 0:
+            pos += 1
+            if tokens[pos][0] in ("name", "+"):
+                fail("coefficient 0 is not allowed", col)
             return Complex.zero()
         counts: dict[int, int] = {}
         while True:
-            tok = self.peek()
-            if tok is None or tok[0] not in ("INT", "NAME"):
-                self.fail("expected a species term")
+            kind, text, col = tokens[pos]
+            if kind not in ("int", "name"):
+                fail("expected a species term")
             coeff = 1
-            if tok[0] == "INT":
-                coeff = int(tok[1])
+            if kind == "int":
+                coeff = int(text)
                 if coeff == 0:
-                    self.fail("coefficient 0 is not allowed", tok[2])
+                    fail("coefficient 0 is not allowed", col)
                 if coeff > _MAX_COEFFICIENT:
-                    self.fail(
+                    fail(
                         f"coefficient {coeff} exceeds the supported bound "
                         f"{_MAX_COEFFICIENT}",
-                        tok[2],
+                        col,
                     )
-                self.take()
-                tok = self.peek()
-                if tok is None or tok[0] != "NAME":
-                    self.fail("expected a species name after the coefficient")
-            name_tok = self.take()
-            sid = self.species_id(name_tok[1])
+                pos += 1
+                if tokens[pos][0] != "name":
+                    fail("expected a species name after the coefficient")
+            sid = species.setdefault(tokens[pos][1], len(species) + 1)
             counts[sid] = counts.get(sid, 0) + coeff
-            nxt = self.peek()
-            if nxt is not None and nxt[0] == "PLUS":
-                self.take()
-                continue
-            break
-        return Complex.from_counts(counts)
+            pos += 1
+            if tokens[pos][0] != "+":
+                return Complex.from_counts(counts)
+            pos += 1
 
-    def parse_reaction(self) -> list[Reaction]:
-        source = self.parse_complex()
-        arrow = self.take()
-        if arrow is None or arrow[0] not in ("ARROW", "BIARROW"):
-            self.fail("expected '->' or '<->'",
-                      arrow[2] if arrow else None)
-        product = self.parse_complex()
-        trailing = self.peek()
-        if trailing is not None:
-            self.fail(f"unexpected {trailing[1]!r} after the reaction")
-        if source == product:
-            self.fail(
-                "source and product of a reaction must differ", arrow[2]
-            )
-        if arrow[0] == "BIARROW":
-            return [Reaction(source, product), Reaction(product, source)]
-        return [Reaction(source, product)]
+    source = parse_complex()
+    arrow, _, arrow_col = tokens[pos]
+    if arrow not in ("->", "<->"):
+        fail("expected '->' or '<->'")
+    pos += 1
+    product = parse_complex()
+    if tokens[pos][0] != "end":
+        fail(f"unexpected {tokens[pos][1]!r} after the reaction")
+    if source == product:
+        fail("source and product of a reaction must differ", arrow_col)
+    if arrow == "<->":
+        return [Reaction(source, product), Reaction(product, source)]
+    return [Reaction(source, product)]
 
 
 def parse_network(text: str) -> NetworkDocument:
@@ -183,21 +137,13 @@ def parse_network(text: str) -> NetworkDocument:
     Raises NetworkParseError (with 1-based line/column) on any input the
     grammar does not cover.
     """
-    species: dict[str, int] = {}
-    order: list[str] = []
+    species: dict[str, int] = {}  # name -> id, in order of first appearance
     reactions: list[Reaction] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        tokens = _tokenize(line, line_no)
-        parser = _LineParser(tokens, line_no, len(line), species, order)
-        reactions.extend(parser.parse_reaction())
-    return NetworkDocument(
-        species_order=tuple(order),
-        reactions=tuple(reactions),
-        source_text=text,
-    )
+        if line.strip():
+            reactions.extend(_parse_reaction(line, line_no, species))
+    return NetworkDocument(species_order=tuple(species), reactions=tuple(reactions))
 
 
 def _complex_name_key(c: Complex, names: tuple[str, ...]) -> tuple:
@@ -265,5 +211,4 @@ def document_from_network(
     return NetworkDocument(
         species_order=names,
         reactions=tuple(net.sorted_reactions()),
-        source_text="",
     )

@@ -172,6 +172,59 @@ def test_unwritable_output_path_exits_1(capsys, argv):
     assert len(err.splitlines()) == 1
 
 
+def _refuse_to_draw_anything(monkeypatch):
+    monkeypatch.setattr("defzero.sampler.sample_edge_ranks", _refuse_to_draw)
+    # the k-paired and sign-matrix samplers key a generator without drawing edges
+    monkeypatch.setattr("defzero.sampler.generator", _refuse_to_draw)
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "--n", "3", "--p", "0.5"),
+    ("sweep", "--n-grid", "2,3", "--beta", "3", "--trials", "2"),
+    ("experiment", "isolated", "--n-grid", "2,3", "--trials", "2"),
+    ("experiment", "four-species", "--n", "6", "--k", "1", "--trials", "2"),
+    ("experiment", "matrix-indep", "--n", "6", "--k", "1", "--trials", "2"),
+    ("experiment", "paired-given-defzero", "--n", "3", "--p", "0.1", "--trials", "2"),
+])
+def test_negative_seed_is_refused_by_every_command(capsys, monkeypatch, argv):
+    # refused, not folded to 64 bits: --seed -1 would otherwise repeat the
+    # stream of --seed 18446744073709551615
+    _refuse_to_draw_anything(monkeypatch)
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "defzero: seed must be a non-negative integer, got -1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--n-grid", "2,3", "--beta", "3", "--trials", "2",
+     "--out", "/nonexistent/dir/rows.csv"),
+    ("experiment", "isolated", "--n-grid", "2,3", "--trials", "2",
+     "--out", "/nonexistent/dir/rows.csv"),
+    ("sample", "--n", "2", "--p", "0.5", "--emit-network", "/nonexistent/dir/x.crn"),
+])
+def test_output_paths_are_opened_before_the_first_trial(capsys, monkeypatch, argv):
+    _refuse_to_draw_anything(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"defzero: cannot write {argv[-1]}: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_refused_request_leaves_an_existing_output_file_intact(tmp_path, capsys):
+    # the early open of --out must not truncate what a refused run never replaces
+    out_path = tmp_path / "rows.csv"
+    out_path.write_text("previous rows\n")
+    code, _, err = run_cli(
+        capsys, "sweep", "--n-grid", "2", "--c", "nan", "--beta", "3", "--trials", "2",
+        "--out", str(out_path),
+    )
+    assert code == 1
+    assert "finite" in err
+    assert out_path.read_text() == "previous rows\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("sweep", "--n-grid", "2", "--c", "nan", "--beta", "3", "--trials", "2", "--format", "json"),
     ("sweep", "--n-grid", "2", "--c", "inf", "--beta", "3", "--trials", "2"),

@@ -58,6 +58,25 @@ def test_error_positions():
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize("text, line, column, message", [
+    ("A -> ", 1, 6, "expected a complex"),
+    ("A <- B", 1, 3, "unexpected character '<'"),
+    ("0 A -> B", 1, 1, "coefficient 0 is not allowed"),
+    ("A <-> 2A\nB + 00 C -> D", 2, 5, "coefficient 0 is not allowed"),
+    ("+ A -> B", 1, 1, "expected a species term"),
+    ("2 -> A", 1, 3, "expected a species name after the coefficient"),
+    ("4097 A -> B", 1, 1, "coefficient 4097 exceeds the supported bound 4096"),
+    ("A B -> C", 1, 3, "expected '->' or '<->'"),
+    ("A -> B C", 1, 8, "unexpected 'C' after the reaction"),
+    ("A -> A", 1, 3, "source and product of a reaction must differ"),
+])
+def test_parse_error_messages_and_columns(text, line, column, message):
+    with pytest.raises(NetworkParseError) as err:
+        parse_network(text)
+    assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+
+
 def test_comments_blanks_and_crlf():
     doc = parse_network("# header\r\n\r\nA -> B # inline\r\nB -> 0\r\n")
     assert len(doc.reactions) == 2
