@@ -7,8 +7,13 @@
                         paired-given-defzero) ... [--format csv|json]
     defzero experiment exact-small --n N --p P [--format text|json]
 
-Exit codes: 0 success, 1 usage or configuration error (a negative seed and
-an output path that cannot be written included, both refused before any
+Each command handler turns its parsed arguments into one OutputRecord; only
+main formats it (JSON for --format json, otherwise the command's renderer:
+the CSV estimate table, the text report or the exact value) and writes it
+to stdout or --out.  Output paths are opened before the handler runs.
+
+Exit codes: 0 success, 1 usage or configuration error (an output path that
+cannot be written and a negative seed included, both refused before any
 trial), 2 input-data error (a network file that is not UTF-8 or does not
 parse).  An invalid configuration is reported as one `defzero: <message>`
 line on stderr.  Estimate tables go to stdout or --out as CSV (default) or
@@ -44,7 +49,6 @@ from .netparse import (
     serialize_network,
     to_reaction_network,
 )
-from .network import DeficiencyReport
 from .rng import derive_seed
 from .sampler import sample_er_network
 
@@ -93,15 +97,6 @@ _ESTIMATE_COLUMNS = [
 ]
 
 
-def _estimate_columns(rows: list[EstimateRow]) -> list[str]:
-    cols = list(_ESTIMATE_COLUMNS)
-    if any(r.k is not None for r in rows):
-        cols.insert(1, "k")
-    if any(r.conditioning_count is not None for r in rows):
-        cols.insert(-1, "conditioning_count")
-    return cols
-
-
 def _emit(text: str, out_path: str | None, mode: str = "w") -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -113,71 +108,63 @@ def _emit(text: str, out_path: str | None, mode: str = "w") -> None:
         raise ValueError(f"cannot write {out_path}: {exc}") from exc
 
 
-def _emit_rows(command: str, config: dict, rows: list[EstimateRow], args) -> None:
-    record = OutputRecord(
-        command=command, config=config, rows=[r.to_dict() for r in rows]
-    )
-    if args.format == "json":
-        _emit(record.to_json() + "\n", args.out)
-    else:
-        _emit(record.to_csv(_estimate_columns(rows)), args.out)
+def _render_estimates(record: OutputRecord) -> str:
+    """The CSV table of EstimateRow dicts; the k and conditioning_count
+    columns appear when some row carries them."""
+    cols = list(_ESTIMATE_COLUMNS)
+    if any("k" in row for row in record.rows):
+        cols.insert(1, "k")
+    if any("conditioning_count" in row for row in record.rows):
+        cols.insert(-1, "conditioning_count")
+    return record.to_csv(cols)
 
 
-def render_report(report: DeficiencyReport) -> str:
-    """Human-readable deficiency report."""
-    if report.num_complexes == 0:
+def render_report(record: OutputRecord) -> str:
+    """Human-readable deficiency report from the record's one row, a
+    DeficiencyReport.to_dict()."""
+    report = record.rows[0]
+    if report["num_complexes"] == 0:
         return "empty network, deficiency: 0\n"
     lines = [
-        f"complexes: {report.num_complexes}",
-        f"components: {report.num_components}",
-        f"rank: {report.rank}",
-        f"deficiency: {report.deficiency}",
-        f"paired: {'yes' if report.is_paired else 'no'}",
+        f"complexes: {report['num_complexes']}",
+        f"components: {report['num_components']}",
+        f"rank: {report['rank']}",
+        f"deficiency: {report['deficiency']}",
+        f"paired: {'yes' if report['is_paired'] else 'no'}",
         "component  complexes  rank  deficiency",
     ]
-    for i, comp in enumerate(report.components, start=1):
+    for i, comp in enumerate(report["components"], start=1):
         lines.append(
-            f"{i:<9}  {comp.complex_count:<9}  {comp.rank:<4}  {comp.deficiency}"
+            f"{i:<9}  {comp['complex_count']:<9}  {comp['rank']:<4}  {comp['deficiency']}"
         )
     return "\n".join(lines) + "\n"
 
 
-def _emit_report(command: str, config: dict, report: DeficiencyReport, fmt: str) -> None:
-    if fmt == "json":
-        record = OutputRecord(command=command, config=config, rows=[report.to_dict()])
-        _emit(record.to_json() + "\n", None)
-    else:
-        _emit(render_report(report), None)
+def _render_exact(record: OutputRecord) -> str:
+    return f"{record.rows[0]['exact_probability']!r}\n"
 
 
-def _cmd_analyze(args) -> int:
+def _estimates(command: str, config: dict, rows: list[EstimateRow]) -> OutputRecord:
+    return OutputRecord(command=command, config=config, rows=[r.to_dict() for r in rows])
+
+
+def _cmd_analyze(args) -> OutputRecord:
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        print(f"defzero: cannot read {args.path}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except UnicodeDecodeError as exc:
-        print(f"defzero: {args.path}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        doc = parse_network(text)
-    except NetworkParseError as exc:
-        print(f"defzero: {args.path}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    report = to_reaction_network(doc).deficiency()
-    _emit_report("analyze", {"path": args.path}, report, args.format)
-    return EXIT_OK
+        raise ValueError(f"cannot read {args.path}: {exc}") from exc
+    report = to_reaction_network(parse_network(text)).deficiency()
+    return OutputRecord("analyze", {"path": args.path}, [report.to_dict()])
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> OutputRecord:
     net = sample_er_network(ErTrialConfig(args.n, args.p, args.seed))
     report = net.deficiency()
     if args.emit_network:
         _emit(serialize_network(document_from_network(net)), args.emit_network)
     config = {"n": args.n, "p": args.p, "seed": args.seed}
-    _emit_report("sample", config, report, args.format)
-    return EXIT_OK
+    return OutputRecord("sample", config, [report.to_dict()])
 
 
 def _parse_grid(raw: str) -> tuple[int, ...]:
@@ -190,7 +177,7 @@ def _parse_grid(raw: str) -> tuple[int, ...]:
     return grid
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> OutputRecord:
     spec = SweepSpec(
         n_grid=args.n_grid,
         c=args.c,
@@ -206,11 +193,10 @@ def _cmd_sweep(args) -> int:
         "trials": spec.trials,
         "seed": spec.master_seed,
     }
-    _emit_rows("sweep", config, rows, args)
-    return EXIT_OK
+    return _estimates("sweep", config, rows)
 
 
-def _cmd_isolated(args) -> int:
+def _cmd_isolated(args) -> OutputRecord:
     grid = sorted(set(args.n_grid))
     specs = []  # every row is checked before the first trial runs
     for n in grid:
@@ -218,39 +204,31 @@ def _cmd_isolated(args) -> int:
         specs.append(IsolatedTailSpec(n, alpha, args.trials, derive_seed(args.seed, n)))
     rows = [estimate_isolated_tail(spec) for spec in specs]
     config = {"n_grid": grid, "alpha": args.alpha, "trials": args.trials, "seed": args.seed}
-    _emit_rows("experiment isolated", config, rows, args)
-    return EXIT_OK
+    return _estimates("experiment isolated", config, rows)
 
 
-def _cmd_k_estimate(args) -> int:
+def _cmd_k_estimate(args) -> OutputRecord:
     # four-species and matrix-indep: args.estimator(n, k, trials, seed)
     row = args.estimator(args.n, args.k, args.trials, args.seed)
     config = {"n": args.n, "k": args.k, "trials": args.trials, "seed": args.seed}
-    _emit_rows(f"experiment {args.experiment}", config, [row], args)
-    return EXIT_OK
+    return _estimates(f"experiment {args.experiment}", config, [row])
 
 
-def _cmd_paired(args) -> int:
+def _cmd_paired(args) -> OutputRecord:
     row = estimate_paired_given_def_zero(
         ErTrialConfig(args.n, args.p, args.seed), args.trials
     )
     config = {"n": args.n, "p": args.p, "trials": args.trials, "seed": args.seed}
-    _emit_rows("experiment paired-given-defzero", config, [row], args)
-    return EXIT_OK
+    return _estimates("experiment paired-given-defzero", config, [row])
 
 
-def _cmd_exact_small(args) -> int:
+def _cmd_exact_small(args) -> OutputRecord:
     value = exact_def_zero_prob_small(args.n, args.p)
-    if args.format == "json":
-        record = OutputRecord(
-            command="experiment exact-small",
-            config={"n": args.n, "p": args.p},
-            rows=[{"n": args.n, "p": args.p, "exact_probability": value}],
-        )
-        _emit(record.to_json() + "\n", args.out)
-    else:
-        _emit(f"{value!r}\n", args.out)
-    return EXIT_OK
+    return OutputRecord(
+        "experiment exact-small",
+        {"n": args.n, "p": args.p},
+        [{"n": args.n, "p": args.p, "exact_probability": value}],
+    )
 
 
 @functools.cache
@@ -269,11 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--seed", type=int, default=0)
     estimate.add_argument("--out", metavar="PATH")
     estimate.add_argument("--format", choices=["csv", "json"], default="csv")
+    estimate.set_defaults(render=_render_estimates)
 
     p_analyze = sub.add_parser("analyze", help="deficiency report for a network file")
     p_analyze.add_argument("path")
     p_analyze.add_argument("--format", choices=["text", "json"], default="text")
-    p_analyze.set_defaults(func=_cmd_analyze)
+    p_analyze.set_defaults(func=_cmd_analyze, render=render_report)
 
     p_sample = sub.add_parser("sample", help="sample one network and report it")
     p_sample.add_argument("--n", type=int, required=True)
@@ -281,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--emit-network", metavar="PATH")
     p_sample.add_argument("--format", choices=["text", "json"], default="text")
-    p_sample.set_defaults(func=_cmd_sample)
+    p_sample.set_defaults(func=_cmd_sample, render=render_report)
 
     p_sweep = sub.add_parser(
         "sweep", parents=[estimate], help="deficiency-zero probability sweep"
@@ -329,18 +308,15 @@ def build_parser() -> argparse.ArgumentParser:
     e_exact.add_argument("--p", type=float, required=True)
     e_exact.add_argument("--out", metavar="PATH")
     e_exact.add_argument("--format", choices=["text", "json"], default="text")
-    e_exact.set_defaults(func=_cmd_exact_small)
+    e_exact.set_defaults(func=_cmd_exact_small, render=_render_exact)
 
     return parser
 
 
-def _check_before_trials(args) -> None:
-    """Refuses a negative seed, and opens every output path, before the
-    command runs a trial.  Appending nothing creates a missing file and
-    leaves an existing one as it is until the result replaces it."""
-    seed = getattr(args, "seed", 0)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+def _open_outputs(args) -> None:
+    """Opens every output path before the command runs a trial.  Appending
+    nothing creates a missing file and leaves an existing one as it is until
+    the result replaces it."""
     for path in (getattr(args, "out", None), getattr(args, "emit_network", None)):
         if path is not None:
             _emit("", path, mode="a")
@@ -352,11 +328,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        _check_before_trials(args)
-        return args.func(args)
+        _open_outputs(args)
+        record = args.func(args)
+        text = record.to_json() + "\n" if args.format == "json" else args.render(record)
+        _emit(text, getattr(args, "out", None))
+    # both are ValueErrors, so they are caught first; only analyze reads a file
+    except (NetworkParseError, UnicodeDecodeError) as exc:
+        print(f"defzero: {args.path}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except ValueError as exc:
         print(f"defzero: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

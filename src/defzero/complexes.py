@@ -14,6 +14,12 @@ identify vertices by index, so the order must never change.  It is
     n+1 .. size-1    -> Sa + Sb for 1 <= a <= b <= n, pairs (a, b) in
                         lexicographic order: (1,1), (1,2), ..., (1,n),
                         (2,2), ..., (n,n)
+
+Vertex pairs have one colex unranking, unrank_edge: rank t is the pair
+(i, j), i < j, with j = (1 + isqrt(8t + 1)) // 2 and i = t - j(j-1)/2, i.e.
+(0,1), (0,2), (1,2), (0,3), ...  The lexicographic pairs a <= b above are
+the colex pairs (n - b, n + 1 - a) of 0..n in reverse order, so
+index_to_complex unranks through it too.
 """
 
 from __future__ import annotations
@@ -108,17 +114,11 @@ def _pair_offset(n: int, a: int) -> int:
     return u * (2 * n + 1 - u) // 2
 
 
-def _unrank_pair(n: int, t: int) -> tuple[int, int]:
-    # Invert t = _pair_offset(n, a) + (b - a) using integer sqrt, then nudge
-    # to make up for the floor in isqrt.
-    u = ((2 * n + 1) - isqrt((2 * n + 1) ** 2 - 8 * t)) // 2
-    while u * (2 * n + 1 - u) > 2 * t:
-        u -= 1
-    while (u + 1) * (2 * n + 1 - (u + 1)) <= 2 * t:
-        u += 1
-    a = u + 1
-    b = a + (t - u * (2 * n + 1 - u) // 2)
-    return a, b
+def unrank_edge(t: int) -> tuple[int, int]:
+    """Vertex pair (i, j), i < j, at colex rank t."""
+    j = (1 + isqrt(8 * t + 1)) // 2
+    i = t - j * (j - 1) // 2
+    return i, j
 
 
 def index_to_complex(n: int, idx: int) -> Complex:
@@ -130,8 +130,9 @@ def index_to_complex(n: int, idx: int) -> Complex:
         return Complex.zero()
     if idx <= n:
         return Complex.unary(idx)
-    a, b = _unrank_pair(n, idx - n - 1)
-    return Complex.binary(a, b)
+    # lex position t = idx - n - 1 is colex rank n(n+1)/2 - 1 - t
+    i, j = unrank_edge(n * (n + 1) // 2 + n - idx)
+    return Complex.binary(n + 1 - j, n - i)
 
 
 def complex_to_index(n: int, c: Complex) -> int:

@@ -200,15 +200,9 @@ def to_reaction_network(doc: NetworkDocument) -> ReactionNetwork:
     return ReactionNetwork(len(doc.species_order), frozenset(doc.reactions))
 
 
-def document_from_network(
-    net: ReactionNetwork, names: tuple[str, ...] | None = None
-) -> NetworkDocument:
-    """A document for a network, defaulting to species names S1..Sn."""
-    if names is None:
-        names = tuple(f"S{i}" for i in range(1, net.n + 1))
-    if len(names) != net.n:
-        raise ValueError(f"need {net.n} species names, got {len(names)}")
+def document_from_network(net: ReactionNetwork) -> NetworkDocument:
+    """A document for a network, with species names S1..Sn."""
     return NetworkDocument(
-        species_order=names,
+        species_order=tuple(f"S{i}" for i in range(1, net.n + 1)),
         reactions=tuple(net.sorted_reactions()),
     )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .complexes import Complex, index_to_complex, universe_size
+from .complexes import Complex, index_to_complex
 from .exactrank import rank_of_columns
 
 
@@ -152,17 +152,13 @@ class ReactionNetwork:
         """Network with a reversible reaction pair for each undirected edge.
 
         Edges are unordered pairs of complex indices in the n-species
-        universe (any 2-element sequence or set).  Self-pairs are rejected.
+        universe (any 2-element sequence or set).  An index outside the
+        universe raises IndexError (index_to_complex) and a self-pair raises
+        ValueError (Reaction).
         """
-        size = universe_size(n)
         reactions = set()
         for edge in edges:
             u, v = tuple(edge)
-            for idx in (u, v):
-                if not 0 <= idx < size:
-                    raise IndexError(f"complex index {idx} outside [0, {size}) for n={n}")
-            if u == v:
-                raise ValueError(f"self-pair {{{u}, {v}}} is not a valid edge")
             cu, cv = index_to_complex(n, u), index_to_complex(n, v)
             reactions.add(Reaction(cu, cv))
             reactions.add(Reaction(cv, cu))

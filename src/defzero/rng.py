@@ -8,6 +8,9 @@ a SplitMix64-style fold:
     derive_seed(master, w1, w2, ...) folds each word into the running hash
     with h = splitmix64(h XOR (w * GAMMA)).
 
+A negative master seed is refused, not folded to 64 bits; every estimator
+passes its master seed through derive_seed before its first trial.
+
 Because every trial owns an independently keyed generator, results do not
 depend on execution order or thread count.  The fold and the choice of
 Philox are frozen; changing either changes every sampled network.
@@ -30,6 +33,8 @@ def _splitmix64(z: int) -> int:
 
 def derive_seed(master: int, *words: int) -> int:
     """A 64-bit seed for the sub-task identified by words under master."""
+    if master < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {master}")
     h = _splitmix64(master & _MASK64)
     for w in words:
         h = _splitmix64(h ^ ((w * _GAMMA) & _MASK64))

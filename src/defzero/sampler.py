@@ -6,18 +6,16 @@ that many distinct pair ranks uniformly (Floyd's algorithm).  This is equal
 in law to M independent Bernoulli trials but costs O(edges) instead of
 O(N^2), which matters because the interesting regime has p far below 1/N.
 
-Pair ranks map to vertex pairs through a fixed colex unranking that is part
-of the reproducibility contract: rank t corresponds to the pair (i, j),
-i < j, with j = (1 + isqrt(8t + 1)) // 2 and i = t - j(j-1)/2, i.e. the
-enumeration (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), ...
+Pair ranks map to vertex pairs through complexes.unrank_edge, a fixed colex
+unranking that is part of the reproducibility contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isqrt
+from math import comb
 
-from .complexes import universe_size
+from .complexes import universe_size, unrank_edge
 from .exactrank import rank_of_columns
 from .network import ReactionNetwork
 from .rng import generator
@@ -51,13 +49,6 @@ class ErTrialConfig:
             raise ValueError(
                 f"n={self.n}, p={self.p} expects more than {_MAX_EXPECTED_EDGES} edges"
             )
-
-
-def unrank_edge(t: int) -> tuple[int, int]:
-    """Vertex pair (i, j), i < j, at colex rank t."""
-    j = (1 + isqrt(8 * t + 1)) // 2
-    i = t - j * (j - 1) // 2
-    return i, j
 
 
 def _sample_distinct(rng, upper: int, count: int) -> set[int]:

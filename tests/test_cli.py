@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from defzero import exact_def_zero_prob_small
 from defzero.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -322,6 +323,18 @@ def test_experiment_exact_small(capsys):
     code, out, _ = run_cli(capsys, "experiment", "exact-small", "--n", "1", "--p", "0.5")
     assert code == 0
     assert out.strip() == "0.5"
+
+
+def test_experiment_exact_small_out_file(tmp_path, capsys):
+    # the early open appends nothing; the result then replaces the old contents
+    out_path = tmp_path / "exact.txt"
+    out_path.write_text("previous value\n")
+    code, out, err = run_cli(
+        capsys, "experiment", "exact-small", "--n", "2", "--p", "0.3",
+        "--out", str(out_path),
+    )
+    assert (code, out, err) == (0, "", "")
+    assert out_path.read_text() == f"{exact_def_zero_prob_small(2, 0.3)!r}\n"
 
 
 def test_experiment_exact_small_json(capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -44,6 +46,24 @@ def test_full_bijection_up_to_n50():
     for n in range(0, 51):
         for idx in range(universe_size(n)):
             assert complex_to_index(n, index_to_complex(n, idx)) == idx
+
+
+@pytest.mark.parametrize("n", [10**6, 2**40 + 3, 2**64 + 1])
+def test_roundtrip_and_order_at_large_n(n):
+    # row a holds the pairs (a, a) .. (a, n); take both ends of sampled rows
+    rng = random.Random(n)
+    rows = {1, 2, n - 1, n} | {rng.randrange(1, n + 1) for _ in range(200)}
+    indices = {0, 1, n, n + 1, universe_size(n) - 1}
+    for a in rows:
+        first = complex_to_index(n, Complex.binary(a, a))
+        indices |= {first - 1, first, first + n - a, first + n - a + 1}
+    indices |= {rng.randrange(universe_size(n)) for _ in range(500)}
+    keys = []
+    for idx in sorted(i for i in indices if 0 <= i < universe_size(n)):
+        c = index_to_complex(n, idx)
+        assert complex_to_index(n, c) == idx
+        keys.append(c.sort_key())
+    assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
 
 
 def test_index_out_of_range():

@@ -163,6 +163,23 @@ def test_estimators_reject_zero_trials(estimate):
         estimate()
 
 
+def _refuse_to_draw(*args, **kwargs):
+    raise AssertionError("a trial ran")
+
+
+@pytest.mark.parametrize("run", [
+    lambda: sweep_threshold(SweepSpec((2,), 1.0, 3.0, 2, -1)),
+    lambda: estimate_four_species_given_paired(6, 1, 2, seed=-1),
+    lambda: estimate_matrix_independence(6, 1, 2, seed=-1),
+], ids=["sweep", "four-species", "matrix-indep"])
+def test_negative_master_seed_is_refused_before_any_trial(run, monkeypatch):
+    # refused, not folded to 64 bits: -1 would repeat the streams of 2**64 - 1
+    monkeypatch.setattr("defzero.sampler.sample_edge_ranks", _refuse_to_draw)
+    monkeypatch.setattr("defzero.sampler.generator", _refuse_to_draw)
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+        run()
+
+
 def test_isolated_tail_small_scale_trend():
     rows = []
     for n in (10, 20):
