@@ -198,10 +198,10 @@ def _cmd_sweep(args) -> OutputRecord:
 
 def _cmd_isolated(args) -> OutputRecord:
     grid = sorted(set(args.n_grid))
-    specs = []  # every row is checked before the first trial runs
-    for n in grid:
-        alpha = float(n) if args.alpha is None else args.alpha
-        specs.append(IsolatedTailSpec(n, alpha, args.trials, derive_seed(args.seed, n)))
+    specs = [  # every row is checked before the first trial runs
+        IsolatedTailSpec(n, args.alpha, args.trials, derive_seed(args.seed, n))
+        for n in grid
+    ]
     rows = [estimate_isolated_tail(spec) for spec in specs]
     config = {"n_grid": grid, "alpha": args.alpha, "trials": args.trials, "seed": args.seed}
     return _estimates("experiment isolated", config, rows)

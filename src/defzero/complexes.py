@@ -19,7 +19,7 @@ Vertex pairs have one colex unranking, unrank_edge: rank t is the pair
 (i, j), i < j, with j = (1 + isqrt(8t + 1)) // 2 and i = t - j(j-1)/2, i.e.
 (0,1), (0,2), (1,2), (0,3), ...  The lexicographic pairs a <= b above are
 the colex pairs (n - b, n + 1 - a) of 0..n in reverse order, so
-index_to_complex unranks through it too.
+index_to_complex unranks through it too and complex_to_index inverts it.
 """
 
 from __future__ import annotations
@@ -108,10 +108,11 @@ def universe_size(n: int) -> int:
     return (n * n + 3 * n + 2) // 2
 
 
-def _pair_offset(n: int, a: int) -> int:
-    # Pairs (i, b) with i < a come first; row i holds n - i + 1 pairs.
-    u = a - 1
-    return u * (2 * n + 1 - u) // 2
+def vertex_pair_count(n: int) -> int:
+    """M, the unordered vertex pairs of the n-species universe: the number
+    of possible edges of an Erdos-Renyi draw."""
+    size = universe_size(n)
+    return size * (size - 1) // 2
 
 
 def unrank_edge(t: int) -> tuple[int, int]:
@@ -145,7 +146,8 @@ def complex_to_index(n: int, c: Complex) -> int:
         return c.species[0]
     if c.order == 2:
         a, b = c.species
-        return n + 1 + _pair_offset(n, a) + (b - a)
+        j, i = n + 1 - a, n - b  # the colex pair (i, j) of index_to_complex
+        return n * (n + 1) // 2 + n - (j * (j - 1) // 2 + i)
     raise ValueError(f"molecularity {c.order} complex is outside the indexed universe")
 
 

@@ -1,9 +1,14 @@
 """Monte Carlo estimators and exact small-n oracles.
 
-Every estimator derives one seed per trial from its master seed, so results
-are identical no matter how trials are scheduled.  Trials run one after
-another in the calling thread: they are pure Python, so a thread pool only
-adds overhead under the interpreter lock.
+Every estimator is a trial closure run by _estimate, which derives one seed
+per trial from the master seed, so results are identical no matter how
+trials are scheduled.  A trial returns True or False, or None for a draw
+that does not qualify (paired given deficiency zero only).  Trials run one
+after another in the calling thread: they are pure Python, so a thread pool
+only adds overhead under the interpreter lock.
+
+The exact small-n oracle grows the deficiency-zero graphs from the empty
+one instead of testing all 2^M graphs.
 
 The deficiency-zero check short-circuits whenever the network's spanning
 forest has more than n edges: deficiency zero needs the forest vectors to be
@@ -21,11 +26,12 @@ from functools import lru_cache
 from math import isfinite, sqrt
 from typing import Callable
 
-from .complexes import index_to_complex, universe_size
-from .network import Reaction, ReactionNetwork
+from .complexes import universe_size, vertex_pair_count
+from .network import ReactionNetwork
 from .rng import derive_seed
 from .sampler import (
     ErTrialConfig,
+    check_species_count,
     count_isolated,
     sample_er_network,
     sample_k_paired,
@@ -96,8 +102,10 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_grid", tuple(self.n_grid))
-        if not self.n_grid or any(n < 1 for n in self.n_grid):
+        if not self.n_grid:
             raise ValueError("n_grid must be a non-empty list of species counts >= 1")
+        for n in self.n_grid:  # before any p = c * n**-beta is computed
+            check_species_count(n)
         if not (isfinite(self.c) and self.c > 0):
             raise ValueError(f"c must be positive and finite, got {self.c}")
         if not (isfinite(self.beta) and self.beta > 0):
@@ -108,16 +116,18 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class IsolatedTailSpec:
-    """Isolated-vertex tail experiment at p = (2n + alpha) / (N(N-1))."""
+    """Isolated-vertex tail experiment at p = (2n + alpha) / (N(N-1)); an
+    alpha of None stands for alpha = n."""
 
     n: int
-    alpha: float
+    alpha: float | None
     trials: int
     seed: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"species count must be >= 1, got {self.n}")
+        check_species_count(self.n)  # before float(n) or p is computed
+        if self.alpha is None:
+            object.__setattr__(self, "alpha", float(self.n))
         if not isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
         ErTrialConfig(self.n, self.p, self.seed)  # refuses an oversized draw
@@ -125,20 +135,12 @@ class IsolatedTailSpec:
     @property
     def p(self) -> float:
         """The edge probability, clamped at 1; alpha must keep it positive."""
-        size = universe_size(self.n)
-        p_raw = (2 * self.n + self.alpha) / (size * (size - 1))
+        p_raw = (2 * self.n + self.alpha) / (2 * vertex_pair_count(self.n))
         if p_raw <= 0.0:
             raise ValueError(
                 f"alpha={self.alpha} drives the edge probability to {p_raw}; it must stay positive"
             )
         return min(1.0, p_raw)
-
-
-def _map_trials(master_seed: int, trials: int, trial: Callable[[int], object]) -> list:
-    """trial(seed) for each derived per-trial seed, in trial-index order."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    return [trial(derive_seed(master_seed, i)) for i in range(trials)]
 
 
 def deficiency_is_zero(net: ReactionNetwork) -> bool:
@@ -148,19 +150,23 @@ def deficiency_is_zero(net: ReactionNetwork) -> bool:
     return net.deficiency().deficiency == 0
 
 
-def _finish(
-    n: int,
-    p: float | None,
-    trials: int,
-    successes: int,
-    started: float,
-    conditioning_count: int | None = None,
-    k: int | None = None,
+def _estimate(
+    n: int, p: float | None, master_seed: int, trials: int,
+    trial: Callable[[int], bool | None], k: int | None = None, conditional: bool = False,
 ) -> EstimateRow:
-    denom = trials if conditioning_count is None else conditioning_count
-    if denom > 0:
-        estimate = successes / denom
-        ci_low, ci_high = wilson_interval(successes, denom)
+    """The fraction of True among the trial outcomes that are not None, timed;
+    a conditional row reports how many there were as conditioning_count."""
+    started = time.perf_counter()
+    if k is not None and k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    outcomes = [trial(derive_seed(master_seed, i)) for i in range(trials)]
+    qualifying = [o for o in outcomes if o is not None]
+    successes = sum(qualifying)
+    if qualifying:
+        estimate = successes / len(qualifying)
+        ci_low, ci_high = wilson_interval(successes, len(qualifying))
     else:
         estimate = ci_low = ci_high = None
     return EstimateRow(
@@ -172,19 +178,9 @@ def _finish(
         ci_low=ci_low,
         ci_high=ci_high,
         wall_time_ms=(time.perf_counter() - started) * 1000.0,
-        conditioning_count=conditioning_count,
+        conditioning_count=len(qualifying) if conditional else None,
         k=k,
     )
-
-
-def _estimate(
-    n: int, p: float | None, master_seed: int, trials: int,
-    trial: Callable[[int], bool], k: int | None = None,
-) -> EstimateRow:
-    """The fraction of the trials for which trial(seed) holds, timed."""
-    started = time.perf_counter()
-    successes = sum(_map_trials(master_seed, trials, trial))
-    return _finish(n, p, trials, successes, started, k=k)
 
 
 def estimate_def_zero_prob(cfg: ErTrialConfig, trials: int) -> EstimateRow:
@@ -199,31 +195,32 @@ def estimate_def_zero_prob(cfg: ErTrialConfig, trials: int) -> EstimateRow:
 @lru_cache(maxsize=None)
 def _def_zero_counts(n: int) -> tuple[int, ...]:
     # counts[e] = number of e-edge graphs over the n-species universe whose
-    # network has deficiency zero; one pass over all 2^M graphs.
-    size = universe_size(n)
-    total_pairs = size * (size - 1) // 2
-    pair_reactions = []
-    for t in range(total_pairs):
-        u, v = unrank_edge(t)
-        cu, cv = index_to_complex(n, u), index_to_complex(n, v)
-        pair_reactions.append((Reaction(cu, cv), Reaction(cv, cu)))
+    # network has deficiency zero.  Adding a reaction never lowers the
+    # deficiency, so such a graph less its highest-ranked edge has deficiency
+    # zero too: growing the deficiency-zero graphs from the empty one by
+    # edges of higher rank only meets each of them exactly once.
+    total_pairs = vertex_pair_count(n)
+    pair_reactions = [
+        ReactionNetwork.from_edge_list(n, [unrank_edge(t)]).reactions
+        for t in range(total_pairs)
+    ]
     counts = [0] * (total_pairs + 1)
-    for mask in range(1 << total_pairs):
-        reactions = []
-        for t in range(total_pairs):
-            if mask >> t & 1:
-                reactions.extend(pair_reactions[t])
-        net = ReactionNetwork(n, frozenset(reactions))
-        if deficiency_is_zero(net):
-            counts[mask.bit_count()] += 1
+    grow = [(0, frozenset())]  # (lowest rank still to add, reactions)
+    while grow:
+        first, reactions = grow.pop()
+        counts[len(reactions) // 2] += 1
+        for t in range(first, total_pairs):
+            grown = reactions | pair_reactions[t]
+            if deficiency_is_zero(ReactionNetwork(n, grown)):
+                grow.append((t + 1, grown))
     return tuple(counts)
 
 
 def exact_def_zero_prob_small(n: int, p: float) -> float:
-    """Exact deficiency-zero probability by enumerating every graph.
+    """Exact deficiency-zero probability from the deficiency-zero graphs,
+    counted by edges.
 
-    Only n in {1, 2} is supported (8 and 32768 graphs); beyond that the
-    2^(N(N-1)/2) enumeration is out of reach.
+    Only n in {1, 2} is supported (4 of 8 and 120 of 32768 graphs qualify).
     """
     if n not in (1, 2):
         raise ValueError(f"exact enumeration supports n in {{1, 2}}, got {n}")
@@ -264,30 +261,22 @@ def estimate_isolated_tail(spec: IsolatedTailSpec) -> EstimateRow:
     return _estimate(spec.n, p, spec.seed, spec.trials, trial)
 
 
-def _all_reactions_touch_four_species(net: ReactionNetwork) -> bool:
-    return all(len(r.support_delta()) == 4 for r in net.reactions)
-
-
 def estimate_four_species_given_paired(
     n: int, k: int, trials: int, seed: int
 ) -> EstimateRow:
     """Fraction of uniform k-paired draws in which every reaction vector
     has exactly four non-zero entries."""
-    if n < 1:
-        raise ValueError(f"species count must be >= 1, got {n}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    check_species_count(n, drawn=False)
 
     def trial(s: int) -> bool:
-        return _all_reactions_touch_four_species(sample_k_paired(n, k, s))
+        net = sample_k_paired(n, k, s)
+        return all(len(r.support_delta()) == 4 for r in net.reactions)
 
     return _estimate(n, None, seed, trials, trial, k=k)
 
 
 def estimate_matrix_independence(n: int, k: int, trials: int, seed: int) -> EstimateRow:
     """Fraction of sampled four-sparse sign matrices with independent columns."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
 
     def trial(s: int) -> bool:
         return is_columns_independent(sample_sparse_sign_matrix(n, k, s))
@@ -301,17 +290,11 @@ def estimate_paired_given_def_zero(cfg: ErTrialConfig, trials: int) -> EstimateR
     The conditioning count is reported so callers can judge significance;
     with zero qualifying draws the estimate is undefined (None), not 0.
     """
-    started = time.perf_counter()
 
-    def trial(seed: int) -> tuple[int, int]:
+    def trial(seed: int) -> bool | None:
         net = sample_er_network(ErTrialConfig(cfg.n, cfg.p, seed))
         if not net.reactions or not deficiency_is_zero(net):
-            return 0, 0
-        return 1, 1 if net.is_paired()[0] else 0
+            return None
+        return net.is_paired()[0]
 
-    outcomes = _map_trials(cfg.seed, trials, trial)
-    conditioning = sum(a for a, _ in outcomes)
-    successes = sum(b for _, b in outcomes)
-    return _finish(
-        cfg.n, cfg.p, trials, successes, started, conditioning_count=conditioning
-    )
+    return _estimate(cfg.n, cfg.p, cfg.seed, trials, trial, conditional=True)

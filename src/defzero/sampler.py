@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .complexes import universe_size, unrank_edge
+from .complexes import universe_size, unrank_edge, vertex_pair_count
 from .exactrank import rank_of_columns
 from .network import ReactionNetwork
 from .rng import generator
@@ -27,6 +27,21 @@ from .rng import generator
 # edge is drawn: at p = 1 the sampler would first build range(M) as a set.
 _MAX_EXPECTED_EDGES = 10**6
 
+# numpy takes the binomial's trial count, the pair count M, as a signed 64-bit
+# integer; M reaches 2**63 at n = 92,681.
+_MAX_DRAWN_PAIRS = 2**63 - 1
+
+
+def check_species_count(n: int, drawn: bool = True) -> int:
+    """M, the vertex pairs of the n-species universe.  Refuses n < 1 and,
+    when edges are drawn, an M that numpy cannot draw from."""
+    if n < 1:
+        raise ValueError(f"species count must be >= 1, got {n}")
+    total_pairs = vertex_pair_count(n)
+    if drawn and total_pairs > _MAX_DRAWN_PAIRS:
+        raise ValueError(f"species count {n} has 2**63 or more vertex pairs to draw from")
+    return total_pairs
+
 
 @dataclass(frozen=True)
 class ErTrialConfig:
@@ -37,18 +52,18 @@ class ErTrialConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"species count must be >= 1, got {self.n}")
+        total_pairs = check_species_count(self.n, drawn=False)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"edge probability p must be in [0, 1], got {self.p}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        size = universe_size(self.n)
         # p > limit / M, not p * M > limit: M may be too large for a float
-        if self.p > _MAX_EXPECTED_EDGES / (size * (size - 1) // 2):
+        if self.p > _MAX_EXPECTED_EDGES / total_pairs:
             raise ValueError(
                 f"n={self.n}, p={self.p} expects more than {_MAX_EXPECTED_EDGES} edges"
             )
+        if self.p > 0.0:  # p = 0 draws nothing, so any M will do
+            check_species_count(self.n)
 
 
 def _sample_distinct(rng, upper: int, count: int) -> set[int]:
@@ -63,8 +78,7 @@ def _sample_distinct(rng, upper: int, count: int) -> set[int]:
 def sample_edge_ranks(n: int, p: float, seed: int) -> set[int]:
     """Edge set of one G(N, p) draw over the n-species universe, as colex
     pair ranks.  Identical in distribution to per-pair Bernoulli sampling."""
-    size = universe_size(n)
-    total_pairs = size * (size - 1) // 2
+    total_pairs = vertex_pair_count(n)
     if p == 0.0:
         return set()
     if p == 1.0:

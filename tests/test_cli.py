@@ -159,6 +159,41 @@ def test_isolated_checks_every_row_before_sampling(capsys, monkeypatch):
     assert len(err.splitlines()) == 1
 
 
+# From n = 92,681 the pair count M reaches 2**63, which numpy's binomial cannot
+# take; a 401-digit n is also beyond float(n).
+_HUGE_N = "9" * 401
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "--n", "92681", "--p", "1e-19"),
+    ("sweep", "--n-grid", "40,92681", "--beta", "3.5", "--trials", "2"),
+    ("sweep", "--n-grid", _HUGE_N, "--beta", "3.5", "--trials", "2"),
+    ("experiment", "isolated", "--n-grid", "40,92681", "--trials", "2"),
+    ("experiment", "isolated", "--n-grid", _HUGE_N, "--trials", "2"),
+    ("experiment", "paired-given-defzero", "--n", "92681", "--p", "1e-19", "--trials", "2"),
+], ids=["sample", "sweep", "sweep-401-digits", "isolated", "isolated-401-digits", "paired"])
+def test_too_many_vertex_pairs_are_refused_before_sampling(capsys, monkeypatch, argv):
+    monkeypatch.setattr("defzero.sampler.sample_edge_ranks", _refuse_to_draw)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("defzero: species count ")
+    assert err.endswith(" has 2**63 or more vertex pairs to draw from\n")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("n", ["92681", _HUGE_N])
+def test_empty_draw_is_accepted_at_any_species_count(capsys, n):
+    code, out, err = run_cli(capsys, "sample", "--n", n, "--p", "0")
+    assert (code, out, err) == (0, "empty network, deficiency: 0\n", "")
+
+
+def test_largest_drawable_species_count_still_samples(capsys):
+    code, out, err = run_cli(capsys, "sample", "--n", "92680", "--p", "1e-18", "--seed", "1")
+    assert (code, err) == (0, "")
+    assert out.startswith("complexes: 16\ncomponents: 8\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("sweep", "--n-grid", "2", "--beta", "3", "--trials", "2",
      "--out", "/nonexistent/dir/rows.csv"),
@@ -388,6 +423,18 @@ def test_experiment_paired_given_defzero(capsys):
     assert lines[1] == (
         "n,p,trials,successes,estimate,ci_low,ci_high,conditioning_count,wall_time_ms"
     )
+
+
+def test_experiment_paired_given_defzero_row(capsys):
+    # 179 of the 200 draws are non-empty with deficiency zero; 159 of those are paired
+    code, out, _ = run_cli(
+        capsys, "experiment", "paired-given-defzero", "--n", "10", "--p", "0.001",
+        "--trials", "200", "--seed", "5",
+    )
+    assert code == 0
+    assert strip_wall_time(out)[2:] == [
+        "10,0.001,200,159,0.888268156424581,0.8337229500129479,0.9264979187608979,179",
+    ]
 
 
 def test_experiment_exact_small_rejects_bad_p(capsys):

@@ -16,6 +16,7 @@ from defzero import (
     sweep_threshold,
     wilson_interval,
 )
+from defzero.experiments import _def_zero_counts
 from support import two_paired_network, four_species_pair_fraction
 
 
@@ -52,6 +53,12 @@ def test_exact_small_n1_closed_form():
     assert exact_def_zero_prob_small(1, 0.5) == pytest.approx(0.5, abs=1e-12)
     assert exact_def_zero_prob_small(1, 0.0) == 1.0
     assert exact_def_zero_prob_small(1, 1.0) == 0.0
+
+
+def test_exact_small_n2_counts():
+    # counts[e]: the e-edge graphs among the 2^15 over the six n=2 complexes
+    # whose network has deficiency zero; none has more than three edges
+    assert _def_zero_counts(2) == (1, 15, 87, 17) + (0,) * 12
 
 
 def test_exact_small_rejects_unsupported():

@@ -17,6 +17,7 @@ from defzero import (
     sample_sparse_sign_matrix,
     universe_size,
 )
+from defzero.complexes import vertex_pair_count
 from defzero.sampler import sample_edge_ranks, unrank_edge
 from support import two_paired_network, naive_edge_ranks
 
@@ -46,6 +47,15 @@ def test_config_refuses_oversized_draws(monkeypatch):
     ErTrialConfig(10**80, 0.0, 0)
     with pytest.raises(ValueError, match="edges"):
         ErTrialConfig(10**80, 1e-300, 0)
+
+
+def test_pair_count_reaches_numpy_limit_at_92681():
+    # numpy's binomial takes M as a signed 64-bit integer
+    assert vertex_pair_count(92680) < 2**63 <= vertex_pair_count(92681)
+    ErTrialConfig(92680, 1e-18, 0)
+    ErTrialConfig(92681, 0.0, 0)
+    with pytest.raises(ValueError, match="2\\*\\*63 or more vertex pairs"):
+        ErTrialConfig(92681, 1e-19, 0)
 
 
 def test_unrank_edge_enumeration():
