@@ -7,10 +7,12 @@
                         paired-given-defzero) ... [--format csv|json]
     defzero experiment exact-small --n N --p P [--format text|json]
 
-Each command handler turns its parsed arguments into one OutputRecord; only
-main formats it (JSON for --format json, otherwise the command's renderer:
-the CSV estimate table, the text report or the exact value) and writes it
-to stdout or --out.  Output paths are opened before the handler runs.
+Each command handler returns only its rows, as dicts.  main builds the one
+OutputRecord around them: the subcommand path names it, every parsed argument
+outside _NOT_CONFIG is its config, and the first row's keys are its CSV
+columns.  main formats it (JSON for --format json, otherwise the command's
+renderer: the CSV estimate table, the text report or the exact value) and
+writes it to stdout or --out.  Output paths are opened before the handler runs.
 
 Exit codes: 0 success, 1 usage or configuration error (an output path that
 cannot be written and a negative seed included, both refused before any
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 
 from .experiments import (
     ErTrialConfig,
-    EstimateRow,
     IsolatedTailSpec,
     SweepSpec,
     estimate_four_species_given_paired,
@@ -79,22 +80,26 @@ class OutputRecord:
     def to_json(self) -> str:
         return json.dumps(vars(self), sort_keys=True)  # the four fields above
 
-    def to_csv(self, columns: list[str]) -> str:
+    def to_csv(self) -> str:
+        """The rows under a `#` header line; the first row's keys are the columns."""
         header = (
             f"# schema_version={self.schema_version} command={self.command} "
             f"config={json.dumps(self.config, sort_keys=True)}"
         )
+        columns = list(self.rows[0])
         lines = [header, ",".join(columns)]
         for row in self.rows:
             lines.append(
-                ",".join("" if row.get(c) is None else repr(row.get(c)) for c in columns)
+                ",".join("" if row[c] is None else repr(row[c]) for c in columns)
             )
         return "\n".join(lines) + "\n"
 
 
-_ESTIMATE_COLUMNS = [
-    "n", "p", "trials", "successes", "estimate", "ci_low", "ci_high", "wall_time_ms",
-]
+# Parsed arguments that choose the handler or where its output goes; every
+# other argument is configuration and is embedded in the output.
+_NOT_CONFIG = frozenset(
+    {"command", "experiment", "func", "render", "estimator", "out", "format", "emit_network"}
+)
 
 
 def _emit(text: str, out_path: str | None, mode: str = "w") -> None:
@@ -106,17 +111,6 @@ def _emit(text: str, out_path: str | None, mode: str = "w") -> None:
             fh.write(text)
     except OSError as exc:  # an unwritable output path is a configuration error
         raise ValueError(f"cannot write {out_path}: {exc}") from exc
-
-
-def _render_estimates(record: OutputRecord) -> str:
-    """The CSV table of EstimateRow dicts; the k and conditioning_count
-    columns appear when some row carries them."""
-    cols = list(_ESTIMATE_COLUMNS)
-    if any("k" in row for row in record.rows):
-        cols.insert(1, "k")
-    if any("conditioning_count" in row for row in record.rows):
-        cols.insert(-1, "conditioning_count")
-    return record.to_csv(cols)
 
 
 def render_report(record: OutputRecord) -> str:
@@ -144,27 +138,21 @@ def _render_exact(record: OutputRecord) -> str:
     return f"{record.rows[0]['exact_probability']!r}\n"
 
 
-def _estimates(command: str, config: dict, rows: list[EstimateRow]) -> OutputRecord:
-    return OutputRecord(command=command, config=config, rows=[r.to_dict() for r in rows])
-
-
-def _cmd_analyze(args) -> OutputRecord:
+def _cmd_analyze(args) -> list[dict]:
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {args.path}: {exc}") from exc
-    report = to_reaction_network(parse_network(text)).deficiency()
-    return OutputRecord("analyze", {"path": args.path}, [report.to_dict()])
+    return [to_reaction_network(parse_network(text)).deficiency().to_dict()]
 
 
-def _cmd_sample(args) -> OutputRecord:
+def _cmd_sample(args) -> list[dict]:
     net = sample_er_network(ErTrialConfig(args.n, args.p, args.seed))
     report = net.deficiency()
     if args.emit_network:
         _emit(serialize_network(document_from_network(net)), args.emit_network)
-    config = {"n": args.n, "p": args.p, "seed": args.seed}
-    return OutputRecord("sample", config, [report.to_dict()])
+    return [report.to_dict()]
 
 
 def _parse_grid(raw: str) -> tuple[int, ...]:
@@ -177,7 +165,7 @@ def _parse_grid(raw: str) -> tuple[int, ...]:
     return grid
 
 
-def _cmd_sweep(args) -> OutputRecord:
+def _cmd_sweep(args) -> list[dict]:
     spec = SweepSpec(
         n_grid=args.n_grid,
         c=args.c,
@@ -185,50 +173,30 @@ def _cmd_sweep(args) -> OutputRecord:
         trials=args.trials,
         master_seed=args.seed,
     )
-    rows = sweep_threshold(spec)
-    config = {
-        "n_grid": list(spec.n_grid),
-        "c": spec.c,
-        "beta": spec.beta,
-        "trials": spec.trials,
-        "seed": spec.master_seed,
-    }
-    return _estimates("sweep", config, rows)
+    return [row.to_dict() for row in sweep_threshold(spec)]
 
 
-def _cmd_isolated(args) -> OutputRecord:
-    grid = sorted(set(args.n_grid))
+def _cmd_isolated(args) -> list[dict]:
     specs = [  # every row is checked before the first trial runs
         IsolatedTailSpec(n, args.alpha, args.trials, derive_seed(args.seed, n))
-        for n in grid
+        for n in sorted(set(args.n_grid))
     ]
-    rows = [estimate_isolated_tail(spec) for spec in specs]
-    config = {"n_grid": grid, "alpha": args.alpha, "trials": args.trials, "seed": args.seed}
-    return _estimates("experiment isolated", config, rows)
+    return [estimate_isolated_tail(spec).to_dict() for spec in specs]
 
 
-def _cmd_k_estimate(args) -> OutputRecord:
+def _cmd_k_estimate(args) -> list[dict]:
     # four-species and matrix-indep: args.estimator(n, k, trials, seed)
-    row = args.estimator(args.n, args.k, args.trials, args.seed)
-    config = {"n": args.n, "k": args.k, "trials": args.trials, "seed": args.seed}
-    return _estimates(f"experiment {args.experiment}", config, [row])
+    return [args.estimator(args.n, args.k, args.trials, args.seed).to_dict()]
 
 
-def _cmd_paired(args) -> OutputRecord:
-    row = estimate_paired_given_def_zero(
-        ErTrialConfig(args.n, args.p, args.seed), args.trials
-    )
-    config = {"n": args.n, "p": args.p, "trials": args.trials, "seed": args.seed}
-    return _estimates("experiment paired-given-defzero", config, [row])
+def _cmd_paired(args) -> list[dict]:
+    cfg = ErTrialConfig(args.n, args.p, args.seed)
+    return [estimate_paired_given_def_zero(cfg, args.trials).to_dict()]
 
 
-def _cmd_exact_small(args) -> OutputRecord:
+def _cmd_exact_small(args) -> list[dict]:
     value = exact_def_zero_prob_small(args.n, args.p)
-    return OutputRecord(
-        "experiment exact-small",
-        {"n": args.n, "p": args.p},
-        [{"n": args.n, "p": args.p, "exact_probability": value}],
-    )
+    return [{"n": args.n, "p": args.p, "exact_probability": value}]
 
 
 @functools.cache
@@ -247,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--seed", type=int, default=0)
     estimate.add_argument("--out", metavar="PATH")
     estimate.add_argument("--format", choices=["csv", "json"], default="csv")
-    estimate.set_defaults(render=_render_estimates)
+    estimate.set_defaults(render=OutputRecord.to_csv)
 
     p_analyze = sub.add_parser("analyze", help="deficiency report for a network file")
     p_analyze.add_argument("path")
@@ -329,7 +297,11 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         _open_outputs(args)
-        record = args.func(args)
+        record = OutputRecord(
+            command=" ".join(filter(None, (args.command, getattr(args, "experiment", None)))),
+            config={k: v for k, v in vars(args).items() if k not in _NOT_CONFIG},
+            rows=args.func(args),
+        )
         text = record.to_json() + "\n" if args.format == "json" else args.render(record)
         _emit(text, getattr(args, "out", None))
     # both are ValueErrors, so they are caught first; only analyze reads a file

@@ -61,30 +61,31 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
     return low, high
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EstimateRow:
     """One Monte Carlo result with enough provenance to reproduce it.
 
-    For conditional estimators, successes counts hits among the
-    conditioning_count qualifying trials; estimate is None when no trial
-    qualified (undefined, deliberately not 0).
+    The fields are in CSV column order.  For conditional estimators,
+    successes counts hits among the conditioning_count qualifying trials;
+    estimate is None when no trial qualified (undefined, deliberately not 0).
     """
 
     n: int
+    k: int | None = None
     p: float | None
     trials: int
     successes: int
     estimate: float | None
     ci_low: float | None
     ci_high: float | None
-    wall_time_ms: float
     conditioning_count: int | None = None
-    k: int | None = None
+    wall_time_ms: float
 
     def to_dict(self) -> dict:
-        """The fields, less conditioning_count and k when they are None."""
+        """The fields in column order, less k and conditioning_count when
+        they are None."""
         out = asdict(self)
-        for optional in ("conditioning_count", "k"):
+        for optional in ("k", "conditioning_count"):
             if out[optional] is None:
                 del out[optional]
         return out
@@ -171,15 +172,15 @@ def _estimate(
         estimate = ci_low = ci_high = None
     return EstimateRow(
         n=n,
+        k=k,
         p=p,
         trials=trials,
         successes=successes,
         estimate=estimate,
         ci_low=ci_low,
         ci_high=ci_high,
-        wall_time_ms=(time.perf_counter() - started) * 1000.0,
         conditioning_count=len(qualifying) if conditional else None,
-        k=k,
+        wall_time_ms=(time.perf_counter() - started) * 1000.0,
     )
 
 

@@ -31,6 +31,17 @@ _MAX_EXPECTED_EDGES = 10**6
 # integer; M reaches 2**63 at n = 92,681.
 _MAX_DRAWN_PAIRS = 2**63 - 1
 
+# numpy's integers(0, high) takes high <= 2**63.  A k-paired draw picks
+# vertices below universe_size(n), past that from n = 4,294,967,295; a sign
+# matrix picks supports below comb(n, 4), past it from n = 121,978.
+_MAX_INTEGERS_HIGH = 2**63
+
+# A sign matrix holds k dense length-n columns at 8.2 to 8.9 bytes per entry
+# (tracemalloc, n = 2e4 to 4e4, k = 50), so this many entries need about
+# 0.85 GB.  A k-paired pair costs about 1,000 bytes (k = 2e4), so it shares
+# the edge bound _MAX_EXPECTED_EDGES.
+_MAX_MATRIX_ENTRIES = 10**8
+
 
 def check_species_count(n: int, drawn: bool = True) -> int:
     """M, the vertex pairs of the n-species universe.  Refuses n < 1 and,
@@ -111,6 +122,10 @@ def sample_k_paired(n: int, k: int, seed: int) -> ReactionNetwork:
     size = universe_size(n)
     if 2 * k > size:
         raise ValueError(f"cannot place {k} disjoint pairs on {size} vertices")
+    if k > _MAX_EXPECTED_EDGES:
+        raise ValueError(f"k={k} asks for more than {_MAX_EXPECTED_EDGES} pairs")
+    if k > 0 and size > _MAX_INTEGERS_HIGH:  # k = 0 draws nothing
+        raise ValueError(f"species count {n} has more than 2**63 vertices to draw from")
     rng = generator(seed)
     picked: list[int] = []
     taken: set[int] = set()
@@ -182,6 +197,10 @@ def sample_sparse_sign_matrix(n: int, k: int, seed: int) -> SparseSignMatrix:
     total = comb(n, 4)
     if k > total:
         raise ValueError(f"cannot pick {k} distinct supports out of {total}")
+    if k * n > _MAX_MATRIX_ENTRIES:
+        raise ValueError(f"n={n}, k={k} needs more than {_MAX_MATRIX_ENTRIES} matrix entries")
+    if k > 0 and total > _MAX_INTEGERS_HIGH:  # k = 0 draws nothing
+        raise ValueError(f"n={n} has more than 2**63 four-species supports to draw from")
     rng = generator(seed)
     ranks = sorted(_sample_distinct(rng, total, k))
     columns = []

@@ -282,23 +282,20 @@ def test_criterion_09_golden_fixtures():
 
 
 def test_criterion_10_thread_determinism(capsys, monkeypatch):
-    argv = [
-        "sweep", "--n-grid", "5,10,15", "--beta", "3", "--c", "1",
-        "--trials", "400", "--seed", "2718",
-    ]
+    argv = ["sweep", "--beta", "3", "--c", "1", "--trials", "400", "--seed", "2718"]
 
-    def rows_without_wall_time():
-        code = cli_main(list(argv))
+    def columns_and_rows_without_wall_time(grid):
+        code = cli_main([*argv, "--n-grid", grid])
         assert code == 0
         out = capsys.readouterr().out
-        return [
-            line.rsplit(",", 1)[0] if not line.startswith(("#", "n,")) else line
-            for line in out.splitlines()
-        ]
+        return [line.rsplit(",", 1)[0] for line in out.splitlines()[1:]]
 
     monkeypatch.setenv("DEFZERO_THREADS", "1")
-    rows_single = rows_without_wall_time()
+    rows_single = columns_and_rows_without_wall_time("5,10,15")
     monkeypatch.setenv("DEFZERO_THREADS", "8")
-    rows_threaded = rows_without_wall_time()
-    assert rows_single == rows_threaded
-    ok(10, "CSV rows byte-identical for DEFZERO_THREADS=1 and =8")
+    # the second schedule runs each grid point as its own sweep
+    split = [columns_and_rows_without_wall_time(n) for n in ("5", "10", "15")]
+    assert len(rows_single) == 4
+    assert rows_single == split[0][:1] + [row for lines in split for row in lines[1:]]
+    ok(10, "CSV rows byte-identical for one sweep and one sweep per n, "
+           "DEFZERO_THREADS=1 and =8")

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -296,25 +297,44 @@ def test_sweep_csv_schema_and_golden_rows(capsys):
     ]
 
 
-def test_sweep_json_roundtrip_config(capsys):
-    code, out, _ = run_cli(
-        capsys, "sweep", "--n-grid", "5", "--beta", "3", "--trials", "50",
-        "--seed", "9", "--format", "json",
-    )
+def _argv_from_record(record):
+    """The command line that the record's command and config alone describe."""
+    argv = record["command"].split()
+    for key, value in record["config"].items():
+        if value is not None:  # None is the flag's default
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            argv += [f"--{key.replace('_', '-')}", text]
+    return argv
+
+
+@pytest.mark.parametrize("argv, config", [
+    (("sweep", "--n-grid", "5", "--beta", "3", "--trials", "50", "--seed", "9"),
+     {"n_grid": [5], "c": 1.0, "beta": 3.0, "trials": 50, "seed": 9}),
+    (("experiment", "isolated", "--n-grid", "8,4", "--trials", "30"),
+     {"n_grid": [8, 4], "alpha": None, "trials": 30, "seed": 0}),
+    (("experiment", "four-species", "--n", "6", "--k", "2", "--trials", "30", "--seed", "2"),
+     {"n": 6, "k": 2, "trials": 30, "seed": 2}),
+    (("experiment", "matrix-indep", "--n", "8", "--k", "3", "--trials", "30", "--seed", "2"),
+     {"n": 8, "k": 3, "trials": 30, "seed": 2}),
+    (("experiment", "paired-given-defzero", "--n", "4", "--p", "0.01", "--trials", "30"),
+     {"n": 4, "p": 0.01, "trials": 30, "seed": 0}),
+    (("experiment", "exact-small", "--n", "2", "--p", "0.3"), {"n": 2, "p": 0.3}),
+    (("sample", "--n", "3", "--p", "0.05", "--seed", "8"), {"n": 3, "p": 0.05, "seed": 8}),
+], ids=["sweep", "isolated", "four-species", "matrix-indep", "paired-given-defzero",
+        "exact-small", "sample"])
+def test_json_roundtrip_config(capsys, argv, config):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
     record = json.loads(out)
-    assert record["config"] == {
-        "n_grid": [5], "c": 1.0, "beta": 3.0, "trials": 50, "seed": 9,
-    }
-    # re-running the embedded config reproduces the rows
-    code, out2, _ = run_cli(
-        capsys, "sweep", "--n-grid", "5", "--beta", "3", "--trials", "50",
-        "--seed", "9", "--format", "json",
-    )
-    r1, r2 = json.loads(out)["rows"], json.loads(out2)["rows"]
-    for a, b in zip(r1, r2):
-        a.pop("wall_time_ms"), b.pop("wall_time_ms")
-    assert r1 == r2
+    assert record["config"] == config
+    # re-running the embedded command and config alone reproduces the rows
+    code, out2, _ = run_cli(capsys, *_argv_from_record(record), "--format", "json")
+    assert code == 0
+    rerun = json.loads(out2)
+    assert (rerun["command"], rerun["config"]) == (record["command"], record["config"])
+    for row in record["rows"] + rerun["rows"]:
+        row.pop("wall_time_ms", None)
+    assert rerun["rows"] == record["rows"]
 
 
 def test_sweep_trials_zero_is_usage_error(capsys):
@@ -344,14 +364,15 @@ def test_sweep_out_file(tmp_path, capsys):
 
 
 def test_threads_do_not_change_rows(capsys, monkeypatch):
-    argv = ["sweep", "--n-grid", "4,8", "--beta", "3", "--trials", "300", "--seed", "11"]
+    # the second run takes the grid in reverse; rows come out ordered by n
+    argv = ["sweep", "--beta", "3", "--trials", "300", "--seed", "11", "--n-grid"]
     monkeypatch.setenv("DEFZERO_THREADS", "1")
-    code1, out1, _ = run_cli(capsys, *argv)
+    code1, out1, _ = run_cli(capsys, *argv, "4,8")
     monkeypatch.setenv("DEFZERO_THREADS", "8")
-    code8, out8, _ = run_cli(capsys, *argv)
+    code8, out8, _ = run_cli(capsys, *argv, "8,4")
     assert code1 == code8 == 0
-    assert strip_wall_time(out1) == strip_wall_time(out8)
-    assert out1 != ""
+    assert strip_wall_time(out1)[1:] == strip_wall_time(out8)[1:]
+    assert len(strip_wall_time(out1)) == 4
 
 
 def test_experiment_exact_small(capsys):
@@ -478,6 +499,22 @@ def test_four_species_rejects_empty_species_set(capsys):
     assert err == "defzero: species count must be >= 1, got 0\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("four-species", "--n", "5000000000", "--k", "1"),
+     "species count 5000000000 has more than 2**63 vertices to draw from"),
+    (("four-species", "--n", "2000", "--k", "1000001"),
+     "k=1000001 asks for more than 1000000 pairs"),
+    (("matrix-indep", "--n", "121978", "--k", "1"),
+     "n=121978 has more than 2**63 four-species supports to draw from"),
+    (("matrix-indep", "--n", "9" * 30, "--k", "1"),
+     f"n={'9' * 30}, k=1 needs more than 100000000 matrix entries"),
+])
+def test_undrawable_k_requests_are_refused_before_sampling(capsys, monkeypatch, argv, message):
+    _refuse_to_draw_anything(monkeypatch)
+    code, out, err = run_cli(capsys, "experiment", *argv, "--trials", "1")
+    assert (code, out, err) == (1, "", f"defzero: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("experiment", "isolated", "--n-grid", "3", "--trials", "5", "--format", "text"),
     ("experiment", "exact-small", "--n", "1", "--p", "0.5", "--format", "csv"),
@@ -511,3 +548,42 @@ def test_usage_error_on_missing_required(capsys):
     code, _, err = run_cli(capsys, "sweep", "--beta", "3")
     assert code == 1
     assert "required" in err
+
+
+# One call per command, in each of its formats.  The expected stdout lives in
+# tests/data/golden/<id>, with wall_time_ms values and the data directory
+# replaced by placeholders (see _scrub).
+_GOLDEN_CALLS = {
+    "sweep": ("sweep", "--n-grid", "4,8", "--beta", "3", "--trials", "60", "--seed", "3"),
+    "isolated": ("experiment", "isolated", "--n-grid", "4,8", "--trials", "60", "--seed", "4"),
+    "four-species": ("experiment", "four-species", "--n", "6", "--k", "2", "--trials", "40",
+                     "--seed", "5"),
+    "matrix-indep": ("experiment", "matrix-indep", "--n", "8", "--k", "3", "--trials", "40",
+                     "--seed", "6"),
+    "paired-given-defzero": ("experiment", "paired-given-defzero", "--n", "4", "--p", "0.01",
+                             "--trials", "60", "--seed", "7"),
+    "exact-small": ("experiment", "exact-small", "--n", "2", "--p", "0.3"),
+    "sample": ("sample", "--n", "3", "--p", "0.05", "--seed", "8"),
+    "analyze": ("analyze", str(DATA / "enzyme_kinetics.crn")),
+}
+_GOLDEN_CASES = [
+    (f"{name}.{fmt}", argv + (("--format", "json") if fmt == "json" else ()))
+    for name, argv in _GOLDEN_CALLS.items()
+    for fmt in ("json", "csv" if "--trials" in argv else "txt")
+]
+
+
+def _scrub(text):
+    text = text.replace(str(DATA), "DATA")
+    text = re.sub(r'"wall_time_ms": [^,}]+', '"wall_time_ms": WALL', text)
+    lines = text.splitlines(keepends=True)
+    if len(lines) > 1 and lines[1].rstrip("\n").endswith(",wall_time_ms"):
+        lines[2:] = [line.rsplit(",", 1)[0] + ",WALL\n" for line in lines[2:]]
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("case, argv", _GOLDEN_CASES, ids=[c for c, _ in _GOLDEN_CASES])
+def test_golden_output(capsys, case, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert _scrub(out) == (DATA / "golden" / case).read_text()

@@ -13,10 +13,12 @@ from defzero import (
     estimate_matrix_independence,
     estimate_paired_given_def_zero,
     exact_def_zero_prob_small,
+    sample_er_network,
     sweep_threshold,
     wilson_interval,
 )
 from defzero.experiments import _def_zero_counts
+from defzero.rng import derive_seed
 from support import two_paired_network, four_species_pair_fraction
 
 
@@ -263,7 +265,11 @@ def test_rows_are_schedule_independent(monkeypatch):
     monkeypatch.setenv("DEFZERO_THREADS", "1")
     seq = estimate_def_zero_prob(cfg, 500)
     monkeypatch.setenv("DEFZERO_THREADS", "8")
-    par = estimate_def_zero_prob(cfg, 500)
-    assert (seq.n, seq.p, seq.trials, seq.successes, seq.estimate, seq.ci_low, seq.ci_high) == (
-        par.n, par.p, par.trials, par.successes, par.estimate, par.ci_low, par.ci_high
+    # the second schedule runs each trial on its own, from its derived seed
+    successes = sum(
+        deficiency_is_zero(sample_er_network(ErTrialConfig(cfg.n, cfg.p, derive_seed(cfg.seed, i))))
+        for i in range(500)
+    )
+    assert (seq.n, seq.p, seq.trials, seq.successes, seq.estimate, (seq.ci_low, seq.ci_high)) == (
+        cfg.n, cfg.p, 500, successes, successes / 500, wilson_interval(successes, 500)
     )

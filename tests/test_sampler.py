@@ -130,6 +130,28 @@ def test_k_paired_domain_error():
         sample_k_paired(1, 2, 0)  # universe has 3 vertices
 
 
+def _refuse_to_draw(*args):
+    pytest.fail("a generator was keyed for a request that should be refused")
+
+
+@pytest.mark.parametrize("n, k, message", [
+    (4_294_967_295, 1, "species count 4294967295 has more than 2\\*\\*63 vertices"),
+    (10**30, 1, "has more than 2\\*\\*63 vertices"),
+    (2000, 10**6 + 1, "k=1000001 asks for more than 1000000 pairs"),
+])
+def test_k_paired_refuses_before_drawing(monkeypatch, n, k, message):
+    monkeypatch.setattr("defzero.sampler.generator", _refuse_to_draw)
+    with pytest.raises(ValueError, match=message):
+        sample_k_paired(n, k, 0)
+
+
+def test_k_paired_largest_drawable_species_count():
+    # numpy's integers(0, high) takes high <= 2**63
+    assert universe_size(4_294_967_294) <= 2**63 < universe_size(4_294_967_295)
+    assert sample_k_paired(4_294_967_294, 1, 0).is_paired() == (True, 1)
+    assert sample_k_paired(10**30, 0, 0) == ReactionNetwork(10**30)  # draws nothing
+
+
 def _pair_of(net):
     u, v = sorted(complex_to_index(net.n, c) for c in net.vertices)
     return u, v
@@ -194,6 +216,37 @@ def test_sign_matrix_domain_errors():
         sample_sparse_sign_matrix(3, 1, 0)
     with pytest.raises(ValueError):
         sample_sparse_sign_matrix(4, 2, 0)
+
+
+@pytest.mark.parametrize("n, k, message", [
+    (121_978, 1, "n=121978 has more than 2\\*\\*63 four-species supports"),
+    (10**9, 1, "n=1000000000, k=1 needs more than 100000000 matrix entries"),
+    (10**30, 1, "needs more than 100000000 matrix entries"),
+    (100_000, 1001, "n=100000, k=1001 needs more than 100000000 matrix entries"),
+])
+def test_sign_matrix_refuses_before_drawing(monkeypatch, n, k, message):
+    monkeypatch.setattr("defzero.sampler.generator", _refuse_to_draw)
+    with pytest.raises(ValueError, match=message):
+        sample_sparse_sign_matrix(n, k, 0)
+
+
+class _Drawn(Exception):
+    pass
+
+
+def test_sign_matrix_largest_drawable_size(monkeypatch):
+    assert comb(121_977, 4) <= 2**63 < comb(121_978, 4)
+    assert sample_sparse_sign_matrix(121_977, 1, 0).cols == 1
+    assert sample_sparse_sign_matrix(10**30, 0, 0).cols == 0  # draws nothing
+
+    # 10**5 rows by 1000 columns sit at the entry bound: accepted, and
+    # stopped at the draw instead of allocating them
+    def stop(seed):
+        raise _Drawn
+
+    monkeypatch.setattr("defzero.sampler.generator", stop)
+    with pytest.raises(_Drawn):
+        sample_sparse_sign_matrix(100_000, 1000, 0)
 
 
 def test_sign_matrix_validation():
