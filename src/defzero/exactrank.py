@@ -10,10 +10,15 @@ by the previous pivot is an exact integer division.  A larger core is first
 eliminated over GF(2^31 - 1) with numpy.  Rank over a prime field can only
 undercount the rational rank, so reaching min(rows, cols) certifies it; a
 short count falls back to Bareiss on the core.
+
+``certify_independent`` only asks whether columns are independent, and
+answers from certificates that need no elimination over Q or GF(p), or None
+when none of them decides.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from operator import itemgetter
 
 import numpy as np
@@ -121,6 +126,60 @@ def _peel(vectors: list) -> tuple[int, list]:
         masks = [masks[j] for j in keep]
 
 
+def _canonical(columns) -> list[tuple]:
+    """Each column's non-zero (row, value) pairs in row order, signed so
+    that the first value is positive: a column and its negation span the
+    same line.  A zero column gives the empty tuple."""
+    vecs = []
+    for col in columns:
+        if isinstance(col, dict):
+            vec = tuple(sorted(filter(_value, col.items())))
+        else:
+            vec = tuple(filter(_value, enumerate(col)))
+        if vec and vec[0][1] < 0:
+            vec = tuple([(r, -x) for r, x in vec])
+        vecs.append(vec)
+    return vecs
+
+
+def certify_independent(columns) -> bool | None:
+    """Whether the columns are linearly independent over the rationals, when
+    an exact certificate decides it, else None.
+
+    Columns are as for rank_of_columns.  The certificates, in order: a zero,
+    repeated or negated column means dependent; the peeled columns are
+    independent of the rest, so only the core is left to decide, and an
+    empty core is independent; a core with more columns than rows is
+    dependent; a core independent over GF(2), once each column is divided
+    by the gcd of its entries, is independent over Q, since a rational
+    dependency scaled to coprime integers stays one mod 2.  A GF(2)
+    dependency proves nothing over Q, so it gives None.
+    """
+    vecs = _canonical(columns)
+    kept = set(vecs)
+    if len(kept) < len(vecs) or () in kept:
+        return False
+    core = _peel(list(kept))[1]
+    if len(core) > len({r for vec in core for r, _ in vec}):
+        return False
+    basis: dict[int, int] = {}  # top bit -> reduced vector mod 2
+    for vec in core:
+        g = gcd(*(x for _, x in vec))
+        mask = 0
+        for r, x in vec:
+            if x // g & 1:
+                mask |= 1 << r
+        while mask:
+            top = mask.bit_length()
+            if top not in basis:
+                basis[top] = mask
+                break
+            mask ^= basis[top]
+        else:
+            return None
+    return True
+
+
 def rank_of_columns(columns, n_rows: int) -> int:
     """Exact rank of the matrix whose columns are the given integer vectors.
 
@@ -129,16 +188,8 @@ def rank_of_columns(columns, n_rows: int) -> int:
     Duplicate columns, negated duplicates, and zero columns are dropped
     before elimination; none of them affect the rank.
     """
-    kept = set()
-    for col in columns:
-        # Non-zero (row, value) pairs in row order, signed so that the first
-        # value is positive: a column and its negation span the same line.
-        if isinstance(col, dict):
-            vec = tuple(sorted(filter(_value, col.items())))
-        else:
-            vec = tuple(filter(_value, enumerate(col)))
-        if vec:
-            kept.add(vec if vec[0][1] > 0 else tuple([(r, -x) for r, x in vec]))
+    kept = set(_canonical(columns))
+    kept.discard(())
     peeled, core = _peel(list(kept))
     if not core:
         return peeled

@@ -10,12 +10,12 @@ only adds overhead under the interpreter lock.
 The exact small-n oracle grows the deficiency-zero graphs from the empty
 one instead of testing all 2^M graphs.
 
-The deficiency-zero check short-circuits whenever the network's spanning
-forest has more than n edges: deficiency zero needs the forest vectors to be
-independent, and more than n vectors in Q^n never are.  The forest search
-stops at n + 1 edges, so a dense draw costs neither a rank computation nor a
-search of its whole graph.  The rule covers the old bound of 2n complexes:
-every complex has degree at least 1, so #components <= #complexes / 2.
+A trial needs only a yes or no: are the network's spanning-forest vectors
+independent?  More than n vectors in Q^n never are, and the forest search
+stops at n + 1 edges, so a dense draw costs neither a rank computation nor
+a search of its whole graph.  Otherwise exactrank.certify_independent's
+exact certificates decide most trials, and only the rest build the full
+report, whose exact rank has the final word.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from math import isfinite, sqrt
 from typing import Callable
 
 from .complexes import universe_size, vertex_pair_count
+from .exactrank import certify_independent
 from .network import ReactionNetwork
 from .rng import derive_seed
 from .sampler import (
@@ -145,10 +146,16 @@ class IsolatedTailSpec:
 
 
 def deficiency_is_zero(net: ReactionNetwork) -> bool:
-    """Deficiency-zero check with the forest-size short-circuit."""
+    """Whether the network has deficiency zero, that is, whether its forest
+    vectors are independent.  More than n of them never are; otherwise the
+    exact certificates of certify_independent decide, and the full report
+    is built only when none of them does."""
     if net.forest_size(limit=net.n) > net.n:
         return False
-    return net.deficiency().deficiency == 0
+    verdict = certify_independent(net.forest_vectors())
+    if verdict is None:
+        return net.deficiency().deficiency == 0
+    return verdict
 
 
 def _estimate(

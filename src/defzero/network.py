@@ -194,6 +194,12 @@ class ReactionNetwork:
         limit + 1, so a dense network is not searched to the end."""
         return len(self._spanning_forest(limit)[1])
 
+    def forest_vectors(self) -> list[dict[int, int]]:
+        """The sparse reaction vectors of a spanning forest's edges, in the
+        order union-find met them.  They span the stoichiometric subspace,
+        and they are independent exactly when the deficiency is zero."""
+        return [r.support_delta() for r in self._spanning_forest()[1]]
+
     def connected_components(self) -> list[frozenset[Complex]]:
         """Components of the undirected support graph, ordered by their
         smallest vertex in the canonical complex order."""
@@ -209,8 +215,7 @@ class ReactionNetwork:
 
     def stoich_rank(self) -> int:
         """Dimension of the span of all reaction vectors (exact)."""
-        forest = self._spanning_forest()[1]
-        return rank_of_columns([r.support_delta() for r in forest], self.n)
+        return rank_of_columns(self.forest_vectors(), self.n)
 
     def deficiency(self) -> DeficiencyReport:
         comps = self.connected_components()
@@ -218,8 +223,8 @@ class ReactionNetwork:
         # every vertex of a component carries the component's root
         index = {roots[next(iter(comp))]: j for j, comp in enumerate(comps)}
         comp_vectors: list[list[dict[int, int]]] = [[] for _ in comps]
-        for r in forest:
-            comp_vectors[index[roots[r.source]]].append(r.support_delta())
+        for r, vec in zip(forest, self.forest_vectors()):
+            comp_vectors[index[roots[r.source]]].append(vec)
         reports = []
         for comp, vectors in zip(comps, comp_vectors):
             s_j = rank_of_columns(vectors, self.n)

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from defzero import exactrank
-from defzero.exactrank import bareiss_rank, rank_mod_prime, rank_of_columns
+from defzero.exactrank import bareiss_rank, certify_independent, rank_mod_prime, rank_of_columns
 from support import minor_rank
 
 
@@ -132,3 +132,47 @@ def test_rank_is_transpose_invariant(mat):
 )
 def test_bareiss_matches_oracle_property(mat):
     assert bareiss_rank(mat) == minor_rank(mat)
+
+
+def test_certificate_repeated_columns_are_dependent():
+    assert certify_independent([{1: 1, 2: -1}, {3: 1}, {1: 1, 2: -1}]) is False
+    assert certify_independent([{1: 1, 2: -1}, {3: 1}, {1: -1, 2: 1}]) is False
+    assert certify_independent([(1, 0), (0, 0)]) is False
+
+
+def test_certificate_core_that_peels_to_empty_is_independent():
+    # the outer columns own rows 1 and 3 and peel first; then the middle
+    # one owns row 2
+    assert certify_independent([{1: 1, 2: 1}, {2: -1}, {2: 1, 3: 2}]) is True
+
+
+def test_certificate_wide_core_is_dependent():
+    # three columns share rows 1 and 2 and own none
+    assert certify_independent([{1: 1, 2: 1}, {1: 1, 2: -1}, {1: 2, 2: 1}]) is False
+
+
+def test_certificate_gf2_dependency_is_not_a_rational_one():
+    # the triangle is independent over Q (determinant 2) but sums to zero mod 2
+    triangle = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}]
+    assert minor_rank([[1, 0, 1], [1, 1, 0], [0, 1, 1]]) == 3
+    assert certify_independent(triangle) is None
+
+
+def test_certificate_divides_out_the_gcd_before_reducing_mod_2():
+    # every entry is even, so without the division both columns vanish mod 2;
+    # divided, they are (1, 1) and (1, 2), independent mod 2
+    assert certify_independent([{0: 2, 1: 2}, {0: 2, 1: 4}]) is True
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=-2, max_value=2), min_size=3, max_size=3),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_certificate_agrees_with_the_minor_oracle(cols):
+    verdict = certify_independent(cols)
+    if verdict is not None:
+        mat = [list(row) for row in zip(*cols)]
+        assert verdict == (minor_rank(mat) == len(cols))

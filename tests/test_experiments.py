@@ -117,6 +117,48 @@ def test_forest_bound_decides_without_rank(monkeypatch):
     assert len(net.vertices) == 4 and net.forest_size() == 3
 
 
+def test_deficiency_is_zero_agrees_with_the_full_report():
+    # Whichever step decides, the verdict is the full report's.  The window
+    # draws reach every certificate outcome, so each route is checked here.
+    from defzero.exactrank import certify_independent
+    from test_acceptance import _random_case
+
+    outcomes = set()
+    for n in (40, 160):
+        for c in (4.0, 7.5, 8.0):
+            for i in range(170):
+                seed = derive_seed(19, n, int(10 * c), i)
+                net = sample_er_network(ErTrialConfig(n, c * n**-3.0, seed))
+                assert deficiency_is_zero(net) == (net.deficiency().deficiency == 0), (n, c, i)
+                if net.forest_size(limit=n) <= n:
+                    outcomes.add(certify_independent(net.forest_vectors()))
+    assert outcomes == {True, False, None}
+    for index in range(2000):
+        net = _random_case(index)[0]
+        assert deficiency_is_zero(net) == (net.deficiency().deficiency == 0), index
+
+
+def test_certificates_decide_without_the_full_report(monkeypatch):
+    from defzero import Complex, Reaction, ReactionNetwork
+
+    def no_report(self):
+        raise AssertionError("a certificate should have decided")
+
+    monkeypatch.setattr(ReactionNetwork, "deficiency", no_report)
+    zero, s1, s2, s1s2, s1s1, s2s2 = (Complex(s) for s in ((), (1,), (2,), (1, 2), (1, 1), (2, 2)))
+
+    def network(n, *pairs):
+        return ReactionNetwork(n, {Reaction(a, b) for a, b in pairs})
+
+    # S1 <- 0 -> S2: the vectors e1 and e2 each own a row and peel away
+    assert deficiency_is_zero(network(2, (zero, s1), (zero, s2))) is True
+    # three forest vectors e2 - e1, e1 + e2 and 2e1 in the S1, S2 plane, with
+    # n = 3 so the forest bound does not apply: the core is wider than its rows
+    assert deficiency_is_zero(network(3, (s1, s2), (zero, s1s2), (zero, s1s1))) is False
+    # e1 + e2 and 2e2 - e1 share both rows; mod 2 they are (1, 1) and (1, 0)
+    assert deficiency_is_zero(network(2, (zero, s1s2), (s1, s2s2))) is True
+
+
 def test_sweep_rows_ordered_and_seed_stable():
     spec = SweepSpec(n_grid=(10, 5), c=1.0, beta=3.0, trials=100, master_seed=3)
     rows = sweep_threshold(spec)
